@@ -42,3 +42,31 @@ func TestAllBenchmarksCompileAndProfile(t *testing.T) {
 		})
 	}
 }
+
+// TestHCPABatchedCoverage pins how much of an HCPA run the bytecode VM
+// batches: at least 99% of the suite's body steps must replay through
+// StepBlock rather than one Step per instruction. Blocks that call, allocate,
+// or use rand or print stay per-instruction; in the suite they are rare.
+func TestHCPABatchedCoverage(t *testing.T) {
+	var batched, slow uint64
+	for _, b := range All() {
+		c, err := Load(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, res, err := c.Program.Profile(nil)
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		if res.BatchedSteps == 0 {
+			t.Errorf("%s: no batched steps", b.Name)
+		}
+		t.Logf("%s: %.2f%% of %d body steps batched", b.Name,
+			100*float64(res.BatchedSteps)/float64(res.BatchedSteps+res.SlowSteps), res.BatchedSteps+res.SlowSteps)
+		batched += res.BatchedSteps
+		slow += res.SlowSteps
+	}
+	if frac := float64(batched) / float64(batched+slow); frac < 0.99 {
+		t.Errorf("%.2f%% of HCPA body steps batched over the suite, want >= 99%%", 100*frac)
+	}
+}

@@ -16,10 +16,13 @@
 //     stays under the budget and does not cross a poll boundary
 //     (limits.LiveCheckInterval); otherwise the block falls back to the
 //     exact per-instruction reference path.
-//   - HCPA bookkeeping is batched per block: pure blocks (no memory
-//     traffic, calls, IO/RNG, or region boundaries) carry a precompiled
-//     kremlib.BlockTemplate and issue one StepBlock instead of one Step
-//     per instruction.
+//   - HCPA bookkeeping is batched per block: every block without calls,
+//     allocations, or rand/print builtins carries a precompiled
+//     kremlib.BlockTemplate and issues one StepBlock instead of one Step
+//     per instruction. Loads, stores and returns batch too: the fast path
+//     records each load/store address in a per-machine buffer, in block
+//     order, and StepBlock replays the shadow-memory reads and writes from
+//     it. Region boundaries fall on CFG edges, never inside a block.
 //
 // The fallback ("slow") path is a per-instruction walk of the original IR
 // block that mirrors internal/interp statement for statement, so every
@@ -270,7 +273,8 @@ type BBlock struct {
 	// NeedsSlow marks blocks that always take a per-instruction path:
 	// calls (the callee perturbs the step counter mid-block) and array
 	// allocations (they can fail the heap cap mid-block, and partial
-	// results must be exact prefixes).
+	// results must be exact prefixes). In HCPA mode that path is execSlow,
+	// one Step per instruction.
 	NeedsSlow bool
 	// Exact marks NeedsSlow blocks whose Start/End range holds unfused
 	// 1:1 bytecode for execExact (per-instruction budget/liveness/work,
@@ -279,8 +283,10 @@ type BBlock struct {
 	// take the execSlow reference walk, as does HCPA mode (which needs
 	// per-IR shadow Steps).
 	Exact bool
-	// Tpl is the batched HCPA template; nil when the block touches shadow
-	// state per instruction (loads/stores), performs IO/RNG, or returns.
+	// Tpl is the batched HCPA template, covering loads, stores and the
+	// return; nil for NeedsSlow blocks and for blocks that call a rand or
+	// print builtin (those chain through the runtime's RNG and IO vectors,
+	// so they keep one Step per instruction via execSlow).
 	Tpl *kremlib.BlockTemplate
 	// HasPush/PopAt: the branch pushes a control-dependence entry popped
 	// at PopAt (precompiled from the instrumentation tables).

@@ -13,6 +13,7 @@ import (
 	"kremlin/internal/interp"
 	"kremlin/internal/ir"
 	"kremlin/internal/irbuild"
+	"kremlin/internal/kremlib"
 	"kremlin/internal/limits"
 	"kremlin/internal/parser"
 	"kremlin/internal/regions"
@@ -269,21 +270,49 @@ void main() {
 	}
 }
 
-// TestBatchTemplates checks that call-free pure blocks get HCPA dependence
-// templates (the batched StepBlock path) while call-containing blocks do
-// not.
+// TestBatchTemplates checks that every block off the NeedsSlow path gets
+// an HCPA template (the batched StepBlock path) unless it calls a rand or
+// print builtin — loads, stores and returns included — while
+// call-containing blocks do not.
 func TestBatchTemplates(t *testing.T) {
-	c := compileKr(t, testPrograms["arrays"])
-	var withTpl int
-	for _, fc := range c.prog.Funcs {
-		for _, b := range fc.Blocks {
-			if b.Tpl != nil {
-				withTpl++
+	for name, src := range testPrograms {
+		c := compileKr(t, src)
+		for _, fc := range c.prog.Funcs {
+			for bi, b := range fc.Blocks {
+				if b.NeedsSlow {
+					continue
+				}
+				chained := false
+				for _, ins := range b.IR.Instrs {
+					if ins.Op == ir.OpBuiltin && knownBuiltins[ins.Builtin] {
+						chained = true
+					}
+				}
+				if chained && b.Tpl != nil {
+					t.Errorf("%s: func %s block %d: rand/print block carries a template", name, fc.F.Name, bi)
+				}
+				if !chained && b.Tpl == nil {
+					t.Errorf("%s: func %s block %d: batchable block has no template", name, fc.F.Name, bi)
+				}
 			}
 		}
 	}
-	if withTpl == 0 {
-		t.Error("no block in the arrays program earned a batch template")
+	c := compileKr(t, testPrograms["arrays"])
+	var memTpl int
+	for _, fc := range c.prog.Funcs {
+		for _, b := range fc.Blocks {
+			if b.Tpl == nil {
+				continue
+			}
+			for _, ti := range b.Tpl.Ins {
+				if ti.Kind != kremlib.TplPlain {
+					memTpl++
+				}
+			}
+		}
+	}
+	if memTpl == 0 {
+		t.Error("no template in the arrays program batches a load, store or return")
 	}
 
 	calls := compileKr(t, testPrograms["calls"])
@@ -451,6 +480,21 @@ func TestVerifyRejectsCorruption(t *testing.T) {
 				}
 				fc.Code[b.Start] = Ins{Op: opJump}
 				return true
+			}
+			return false
+		}},
+		// A template memory entry with no load/store behind it would make
+		// StepBlock read past the block's address buffer.
+		{"template-memory-mismatch", func(fc *FuncCode) bool {
+			for bi := range fc.Blocks {
+				if tpl := fc.Blocks[bi].Tpl; tpl != nil {
+					for i := range tpl.Ins {
+						if tpl.Ins[i].Kind == kremlib.TplPlain {
+							tpl.Ins[i].Kind = kremlib.TplStore
+							return true
+						}
+					}
+				}
 			}
 			return false
 		}},

@@ -134,18 +134,19 @@ func (c *fnCompiler) constReg(k constKey, v val) int32 {
 	return c.fc.ConstBase + idx
 }
 
-// pureBuiltins are template-eligible: they read and write only registers
-// (no shadow memory, IO, RNG, or failure-free requirement — dim can fail,
+// pureBuiltins touch only registers (no RNG or IO state); dim can fail,
 // but a mid-block runtime error aborts the whole run, which is
-// unobservable since errors return a nil Result).
+// unobservable since errors return a nil Result.
 var pureBuiltins = map[string]bool{
 	"sqrt": true, "fabs": true, "floor": true, "exp": true, "log": true,
 	"sin": true, "cos": true, "pow": true, "abs": true, "min": true,
 	"max": true, "dim": true,
 }
 
-// knownBuiltins is everything the engines implement; anything else makes
-// the block slow-path so the reference error text is produced.
+// knownBuiltins is everything else the engines implement: the RNG and
+// print builtins, which chain through the runtime's RNG and IO vectors and
+// so keep their blocks on the per-instruction HCPA path. Anything unknown
+// makes the block slow-path so the reference error text is produced.
 var knownBuiltins = map[string]bool{
 	"rand": true, "frand": true, "srand": true,
 	"printstr": true, "printval": true, "printnl": true,
@@ -174,34 +175,28 @@ func (c *fnCompiler) compileBlock(bi int32, blk *ir.Block) {
 
 	// Classify. NeedsSlow blocks take a per-instruction path
 	// unconditionally (exact bytecode when representable, the reference
-	// walk otherwise); pure blocks additionally get an HCPA template.
-	pure := len(body) > 0
+	// walk otherwise). Every other block gets an HCPA template unless it
+	// calls a rand or print builtin: loads, stores and returns batch, their
+	// shadow-memory traffic and RetVec capture replayed by StepBlock.
+	batch := true
 	exactOK := true
 	for i, ins := range body {
 		switch ins.Op {
 		case ir.OpParam, ir.OpBin, ir.OpNeg, ir.OpNot, ir.OpConvert,
-			ir.OpGlobal, ir.OpView:
+			ir.OpGlobal, ir.OpView, ir.OpLoad, ir.OpStore:
 			// template-eligible
-		case ir.OpLoad, ir.OpStore:
-			pure = false
 		case ir.OpBuiltin:
 			if !isKnownBuiltin(ins.Builtin) {
 				bb.NeedsSlow = true
 				exactOK = false
 			}
 			if !pureBuiltins[ins.Builtin] {
-				pure = false
+				batch = false
 			}
-		case ir.OpBr, ir.OpJump:
+		case ir.OpBr, ir.OpJump, ir.OpRet:
 			if i != len(body)-1 {
 				// Mid-block terminator: only the reference walk reproduces
 				// the interpreter's continue-past-terminator behavior.
-				bb.NeedsSlow = true
-				exactOK = false
-			}
-		case ir.OpRet:
-			pure = false // RetVec capture needs a real Step
-			if i != len(body)-1 {
 				bb.NeedsSlow = true
 				exactOK = false
 			}
@@ -216,7 +211,6 @@ func (c *fnCompiler) compileBlock(bi int32, blk *ir.Block) {
 	}
 	if t := blk.Terminator(); t == nil {
 		bb.Term = termNone
-		pure = false
 		// A block that dangles without a terminator but branches mid-block
 		// cannot be mapped onto precompiled edges; force the reference walk.
 		for _, ins := range body {
@@ -259,7 +253,7 @@ func (c *fnCompiler) compileBlock(bi int32, blk *ir.Block) {
 		return
 	}
 	c.emit(bb, body)
-	if pure {
+	if batch {
 		bb.Tpl = c.template(body)
 	}
 }
@@ -293,10 +287,14 @@ func (c *fnCompiler) addEdge(blk, to *ir.Block) int32 {
 	return idx
 }
 
-// template builds the batched HCPA effect of a pure block: one entry per
+// template builds the batched HCPA effect of a block: one entry per
 // stepped instruction (params excluded — the interpreter never Steps
 // them), argument vectors resolved to register IDs with constants and
-// broken (induction/reduction) dependencies dropped at compile time.
+// broken (induction/reduction) dependencies dropped at compile time, as
+// Step drops them. Loads, stores and returns carry their side effect in
+// Kind; memory entries stay in IR order, which is also the order the
+// emitted bytecode executes its loads and stores in (fusion elides views,
+// never a load or store), so they line up with the VM's address buffer.
 func (c *fnCompiler) template(body []*ir.Instr) *kremlib.BlockTemplate {
 	tpl := &kremlib.BlockTemplate{}
 	for _, ins := range body {
@@ -307,8 +305,22 @@ func (c *fnCompiler) template(body []*ir.Instr) *kremlib.BlockTemplate {
 		if ins.HasResult() {
 			ti.Res = int32(ins.ID)
 		}
+		breakArg := ins.BreakArg
+		switch ins.Op {
+		case ir.OpLoad:
+			// Step folds a load's address operand unconditionally.
+			breakArg = -1
+			ti.Kind = kremlib.TplLoad
+			if ins.Reduction {
+				ti.Kind = kremlib.TplLoadReduction
+			}
+		case ir.OpStore:
+			ti.Kind = kremlib.TplStore
+		case ir.OpRet:
+			ti.Kind = kremlib.TplRet
+		}
 		for i, a := range ins.Args {
-			if i == ins.BreakArg {
+			if i == breakArg {
 				continue
 			}
 			if ai, ok := a.(*ir.Instr); ok {

@@ -19,7 +19,8 @@ import (
 // text/position all match interp exactly. Blocks take this path when they
 // contain calls, allocations, or degenerate control flow (NeedsSlow), when
 // the remaining budget or an imminent liveness poll demands per-instruction
-// checks, or in HCPA mode when the block has no batched template.
+// checks, or in HCPA mode when the block has no batched template (it calls
+// a rand or print builtin).
 //
 // The final value of next (last branch executed wins, as in the reference
 // loop) maps onto the block's precompiled edges; a nil next ends the
@@ -39,6 +40,7 @@ func (m *machine) execSlow(fc *FuncCode, regs []val, b *BBlock, fs *kremlib.Fram
 	returned := false
 	for _, ins := range blk.Instrs[nPhis:] {
 		m.steps++
+		m.slowSteps++
 		if m.steps > m.limit {
 			return 0, val{}, false, limits.Budget(m.limit, m.steps)
 		}

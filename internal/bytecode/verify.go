@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"kremlin/internal/ir"
+	"kremlin/internal/kremlib"
 )
 
 // operand-usage flags for the verifier.
@@ -64,6 +65,18 @@ func isTermOp(op opcode) bool {
 	switch op {
 	case opBr, opBrCmpI, opBrCmpF, opIncCmpBrI, opDecCmpBrI,
 		opIncJmpI, opDecJmpI, opJump, opRetVal, opRetVoid, opEndBlk:
+		return true
+	}
+	return false
+}
+
+// isMemOp reports whether op loads or stores one heap cell (execFast
+// records one address for each).
+func isMemOp(op opcode) bool {
+	switch op {
+	case opLoadI, opLoadF, opStore,
+		opLdIdxI, opLdIdxF, opStIdx, opLdIdx2I, opLdIdx2F, opStIdx2, opLdIdxNI, opLdIdxNF, opStIdxN,
+		opLdIdxIU, opLdIdxFU, opStIdxU, opLdIdx2IU, opLdIdx2FU, opStIdx2U, opLdIdxNIU, opLdIdxNFU, opStIdxNU:
 		return true
 	}
 	return false
@@ -205,8 +218,25 @@ func verifyBlock(p *Program, fc *FuncCode, b *BBlock) error {
 		if b.NeedsSlow {
 			return fmt.Errorf("NeedsSlow block carries an HCPA template")
 		}
+		// StepBlock consumes execFast's address buffer entry by entry, so
+		// the template must hold one memory entry per load/store opcode.
+		var tplMem, codeMem int
+		for pc := b.Start; pc < b.End; pc++ {
+			if isMemOp(fc.Code[pc].Op) {
+				codeMem++
+			}
+		}
 		for i := range b.Tpl.Ins {
 			ti := &b.Tpl.Ins[i]
+			switch ti.Kind {
+			case kremlib.TplLoad, kremlib.TplLoadReduction:
+				tplMem++
+				if len(ti.Args) != 1 {
+					return fmt.Errorf("template ins %d: load folds %d operands, want its address", i, len(ti.Args))
+				}
+			case kremlib.TplStore:
+				tplMem++
+			}
 			if ti.Res >= fc.ConstBase {
 				return fmt.Errorf("template ins %d: result %d is not a shadow register", i, ti.Res)
 			}
@@ -215,6 +245,9 @@ func verifyBlock(p *Program, fc *FuncCode, b *BBlock) error {
 					return fmt.Errorf("template ins %d: arg %d is not a shadow register", i, a)
 				}
 			}
+		}
+		if tplMem != codeMem {
+			return fmt.Errorf("template has %d memory entries, bytecode %d loads/stores", tplMem, codeMem)
 		}
 	}
 	return nil

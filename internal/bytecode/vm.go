@@ -68,6 +68,15 @@ type machine struct {
 	// entries sit at the bottom for the machine's lifetime; runtime
 	// allocations stack above them and are trimmed at call exit.
 	dimArena []int64
+
+	// addrs is execFast's HCPA address buffer: the effective address of
+	// every load and store of the block just run, in execution order, for
+	// StepBlock to consume (see kremlib.BlockTemplate).
+	addrs []uint64
+	// batchedSteps and slowSteps split HCPA body steps (phis excluded)
+	// between StepBlock replays and execSlow's per-instruction Steps.
+	batchedSteps uint64
+	slowSteps    uint64
 }
 
 type gpFrame struct {
@@ -130,6 +139,8 @@ func Run(p *Program, cfg interp.Config) (*interp.Result, error) {
 		res.ShadowPages = m.rt.Mem().NumPages()
 		res.ShadowWrites = m.rt.Mem().Writes
 		res.CarriedDeps = m.rt.CarriedDeps()
+		res.BatchedSteps = m.batchedSteps
+		res.SlowSteps = m.slowSteps
 	case interp.Probe:
 		m.probeFlush()
 		res.Work = m.work
@@ -517,10 +528,11 @@ func (m *machine) call(fc *FuncCode, args []val, argVecs []shadow.Vec, callerFS 
 				retVal = rv
 			}
 			if fs != nil {
-				brVec := m.rt.StepBlock(fs, b.Tpl)
+				brVec := m.rt.StepBlock(fs, b.Tpl, m.addrs)
 				if b.HasPush {
 					m.rt.PushCtrl(fs, b.IR, b.PopAt, brVec)
 				}
+				m.batchedSteps += n
 			}
 		} else {
 			var rv val
@@ -601,9 +613,21 @@ func cmpRes(lt, eq bool, k ir.BinKind) bool {
 	return false
 }
 
+// noteAddr appends a load/store address to the HCPA address buffer when
+// track (HCPA mode) is set.
+func (m *machine) noteAddr(track bool, addr uint64) {
+	if track {
+		m.addrs = append(m.addrs, addr)
+	}
+}
+
 // execFast runs block bytecode with no per-instruction checks and no
 // profiling calls (step/work totals were batched by the caller; HCPA
-// effects replay via StepBlock afterwards). It returns the taken edge
+// effects replay via StepBlock afterwards). In HCPA mode it records the
+// effective address of every load and store in m.addrs, in execution
+// order, for StepBlock to consume; the gate never lets a batched block
+// cross a liveness poll, so the shadow-page cap sees the same page count
+// at every poll as a per-instruction run. It returns the taken edge
 // index, or returned=true with the return value, or edge -1 when the
 // block dangles (the function then ends, as in the reference engine).
 //
@@ -621,6 +645,8 @@ func (m *machine) execFast(fc *FuncCode, regs []val, b *BBlock, chain bool) (int
 	adims := m.dimArena
 	pc := b.Start
 	edge := int32(-1)
+	track := m.rt != nil
+	m.addrs = m.addrs[:0]
 	for {
 		ins := &code[pc]
 		pc++
@@ -701,11 +727,16 @@ func (m *machine) execFast(fc *FuncCode, regs []val, b *BBlock, chain bool) (int
 			}
 			regs[ins.Dst].a = arr{base: a.base + uint64(idx*stride), doff: a.doff + 1, rank: a.rank - 1, elem: a.elem}
 		case opLoadI:
-			regs[ins.Dst].i = int64(heap[regs[ins.A].a.base-interp.HeapBase])
+			addr := regs[ins.A].a.base
+			m.noteAddr(track, addr)
+			regs[ins.Dst].i = int64(heap[addr-interp.HeapBase])
 		case opLoadF:
-			regs[ins.Dst].f = math.Float64frombits(heap[regs[ins.A].a.base-interp.HeapBase])
+			addr := regs[ins.A].a.base
+			m.noteAddr(track, addr)
+			regs[ins.Dst].f = math.Float64frombits(heap[addr-interp.HeapBase])
 		case opStore:
 			cell := regs[ins.A].a
+			m.noteAddr(track, cell.base)
 			v := regs[ins.B]
 			var bits uint64
 			if cell.elem == uint8(ast.Float) {
@@ -753,6 +784,7 @@ func (m *machine) execFast(fc *FuncCode, regs []val, b *BBlock, chain bool) (int
 			if idx < 0 || idx >= adims[a.doff] {
 				return 0, val{}, false, m.errAt(int(ins.Pos), "index %d out of range [0,%d)", idx, adims[a.doff])
 			}
+			m.noteAddr(track, a.base+uint64(idx))
 			regs[ins.Dst].i = int64(heap[a.base+uint64(idx)-interp.HeapBase])
 		case opLdIdxF:
 			a := regs[ins.A].a
@@ -763,6 +795,7 @@ func (m *machine) execFast(fc *FuncCode, regs []val, b *BBlock, chain bool) (int
 			if idx < 0 || idx >= adims[a.doff] {
 				return 0, val{}, false, m.errAt(int(ins.Pos), "index %d out of range [0,%d)", idx, adims[a.doff])
 			}
+			m.noteAddr(track, a.base+uint64(idx))
 			regs[ins.Dst].f = math.Float64frombits(heap[a.base+uint64(idx)-interp.HeapBase])
 		case opStIdx:
 			a := regs[ins.A].a
@@ -773,6 +806,7 @@ func (m *machine) execFast(fc *FuncCode, regs []val, b *BBlock, chain bool) (int
 			if idx < 0 || idx >= adims[a.doff] {
 				return 0, val{}, false, m.errAt(int(ins.Pos), "index %d out of range [0,%d)", idx, adims[a.doff])
 			}
+			m.noteAddr(track, a.base+uint64(idx))
 			v := regs[ins.C]
 			var bits uint64
 			if a.elem == uint8(ast.Float) {
@@ -789,6 +823,7 @@ func (m *machine) execFast(fc *FuncCode, regs []val, b *BBlock, chain bool) (int
 			if a.rank >= 2 {
 				d1 := adims[a.doff+1]
 				if uint64(i) < uint64(adims[a.doff]) && uint64(j) < uint64(d1) {
+					m.noteAddr(track, a.base+uint64(i*d1+j))
 					regs[ins.Dst].i = int64(heap[a.base+uint64(i*d1+j)-interp.HeapBase])
 					break
 				}
@@ -797,6 +832,7 @@ func (m *machine) execFast(fc *FuncCode, regs []val, b *BBlock, chain bool) (int
 			if err != nil {
 				return 0, val{}, false, err
 			}
+			m.noteAddr(track, cell+interp.HeapBase)
 			regs[ins.Dst].i = int64(heap[cell])
 		case opLdIdx2F:
 			a := regs[ins.A].a
@@ -804,6 +840,7 @@ func (m *machine) execFast(fc *FuncCode, regs []val, b *BBlock, chain bool) (int
 			if a.rank >= 2 {
 				d1 := adims[a.doff+1]
 				if uint64(i) < uint64(adims[a.doff]) && uint64(j) < uint64(d1) {
+					m.noteAddr(track, a.base+uint64(i*d1+j))
 					regs[ins.Dst].f = math.Float64frombits(heap[a.base+uint64(i*d1+j)-interp.HeapBase])
 					break
 				}
@@ -812,6 +849,7 @@ func (m *machine) execFast(fc *FuncCode, regs []val, b *BBlock, chain bool) (int
 			if err != nil {
 				return 0, val{}, false, err
 			}
+			m.noteAddr(track, cell+interp.HeapBase)
 			regs[ins.Dst].f = math.Float64frombits(heap[cell])
 		case opStIdx2:
 			a := regs[ins.A].a
@@ -819,6 +857,7 @@ func (m *machine) execFast(fc *FuncCode, regs []val, b *BBlock, chain bool) (int
 			if a.rank >= 2 {
 				d1 := adims[a.doff+1]
 				if uint64(i) < uint64(adims[a.doff]) && uint64(j) < uint64(d1) {
+					m.noteAddr(track, a.base+uint64(i*d1+j))
 					v := regs[ins.Dst]
 					var bits uint64
 					if a.elem == uint8(ast.Float) {
@@ -834,6 +873,7 @@ func (m *machine) execFast(fc *FuncCode, regs []val, b *BBlock, chain bool) (int
 			if err != nil {
 				return 0, val{}, false, err
 			}
+			m.noteAddr(track, cell+interp.HeapBase)
 			v := regs[ins.Dst]
 			var bits uint64
 			if a.elem == uint8(ast.Float) {
@@ -847,18 +887,21 @@ func (m *machine) execFast(fc *FuncCode, regs []val, b *BBlock, chain bool) (int
 			if err != nil {
 				return 0, val{}, false, err
 			}
+			m.noteAddr(track, cell+interp.HeapBase)
 			regs[ins.Dst].i = int64(heap[cell])
 		case opLdIdxNF:
 			cell, err := idxN(m, adims, fc, regs, ins)
 			if err != nil {
 				return 0, val{}, false, err
 			}
+			m.noteAddr(track, cell+interp.HeapBase)
 			regs[ins.Dst].f = math.Float64frombits(heap[cell])
 		case opStIdxN:
 			cell, err := idxN(m, adims, fc, regs, ins)
 			if err != nil {
 				return 0, val{}, false, err
 			}
+			m.noteAddr(track, cell+interp.HeapBase)
 			v := regs[ins.Dst]
 			var bits uint64
 			if regs[ins.A].a.elem == uint8(ast.Float) {
@@ -883,13 +926,17 @@ func (m *machine) execFast(fc *FuncCode, regs []val, b *BBlock, chain bool) (int
 			}
 			regs[ins.Dst].a = arr{base: a.base + uint64(idx*stride), doff: a.doff + 1, rank: a.rank - 1, elem: a.elem}
 		case opLdIdxIU:
-			a := regs[ins.A].a
-			regs[ins.Dst].i = int64(heap[a.base+uint64(regs[ins.B].i)-interp.HeapBase])
+			addr := regs[ins.A].a.base + uint64(regs[ins.B].i)
+			m.noteAddr(track, addr)
+			regs[ins.Dst].i = int64(heap[addr-interp.HeapBase])
 		case opLdIdxFU:
-			a := regs[ins.A].a
-			regs[ins.Dst].f = math.Float64frombits(heap[a.base+uint64(regs[ins.B].i)-interp.HeapBase])
+			addr := regs[ins.A].a.base + uint64(regs[ins.B].i)
+			m.noteAddr(track, addr)
+			regs[ins.Dst].f = math.Float64frombits(heap[addr-interp.HeapBase])
 		case opStIdxU:
 			a := regs[ins.A].a
+			addr := a.base + uint64(regs[ins.B].i)
+			m.noteAddr(track, addr)
 			v := regs[ins.C]
 			var bits uint64
 			if a.elem == uint8(ast.Float) {
@@ -897,18 +944,21 @@ func (m *machine) execFast(fc *FuncCode, regs []val, b *BBlock, chain bool) (int
 			} else {
 				bits = uint64(v.i)
 			}
-			heap[a.base+uint64(regs[ins.B].i)-interp.HeapBase] = bits
+			heap[addr-interp.HeapBase] = bits
 		case opLdIdx2IU:
 			a := regs[ins.A].a
 			cell := a.base + uint64(regs[ins.B].i*adims[a.doff+1]+regs[ins.C].i) - interp.HeapBase
+			m.noteAddr(track, cell+interp.HeapBase)
 			regs[ins.Dst].i = int64(heap[cell])
 		case opLdIdx2FU:
 			a := regs[ins.A].a
 			cell := a.base + uint64(regs[ins.B].i*adims[a.doff+1]+regs[ins.C].i) - interp.HeapBase
+			m.noteAddr(track, cell+interp.HeapBase)
 			regs[ins.Dst].f = math.Float64frombits(heap[cell])
 		case opStIdx2U:
 			a := regs[ins.A].a
 			cell := a.base + uint64(regs[ins.B].i*adims[a.doff+1]+regs[ins.C].i) - interp.HeapBase
+			m.noteAddr(track, cell+interp.HeapBase)
 			v := regs[ins.Dst]
 			var bits uint64
 			if a.elem == uint8(ast.Float) {
@@ -918,11 +968,16 @@ func (m *machine) execFast(fc *FuncCode, regs []val, b *BBlock, chain bool) (int
 			}
 			heap[cell] = bits
 		case opLdIdxNIU:
-			regs[ins.Dst].i = int64(heap[idxNU(adims, fc, regs, ins)])
+			cell := idxNU(adims, fc, regs, ins)
+			m.noteAddr(track, cell+interp.HeapBase)
+			regs[ins.Dst].i = int64(heap[cell])
 		case opLdIdxNFU:
-			regs[ins.Dst].f = math.Float64frombits(heap[idxNU(adims, fc, regs, ins)])
+			cell := idxNU(adims, fc, regs, ins)
+			m.noteAddr(track, cell+interp.HeapBase)
+			regs[ins.Dst].f = math.Float64frombits(heap[cell])
 		case opStIdxNU:
 			cell := idxNU(adims, fc, regs, ins)
+			m.noteAddr(track, cell+interp.HeapBase)
 			v := regs[ins.Dst]
 			var bits uint64
 			if regs[ins.A].a.elem == uint8(ast.Float) {

@@ -84,6 +84,12 @@ type Result struct {
 	// exhibited a dynamic loop-carried flow dependence. Only populated in
 	// HCPA mode with Options.TraceDeps set.
 	CarriedDeps []int
+	// BatchedSteps and SlowSteps split a completed HCPA run's body steps
+	// (phis excluded) on the bytecode VM: BatchedSteps had their shadow
+	// updates replayed by one StepBlock per block, SlowSteps took one Step
+	// each. Both stay 0 on the tree engine, which always steps singly.
+	BatchedSteps uint64
+	SlowSteps    uint64
 }
 
 // RuntimeError is an execution failure annotated with a source offset.

@@ -73,8 +73,10 @@ type Runtime struct {
 
 	scratch shadow.Vec
 	// blockBase is StepBlock's resolved-once control baseline (a second
-	// scratch vector, so the per-instruction scratch stays untouched).
+	// scratch vector, so the per-instruction scratch stays untouched);
+	// blockPeak is its block-local critical-path watermark.
 	blockBase shadow.Vec
+	blockPeak []uint64
 	tags      []uint64
 
 	// vecPool recycles control-dependence vectors (popped by AtBlock /

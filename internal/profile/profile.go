@@ -53,6 +53,10 @@ const RawRecordBytes = 28
 type Dict struct {
 	Entries []Entry
 	index   map[string]int32
+	// kidsBuf and keyBuf are InternRuns' reusable normalization and
+	// key-encoding buffers.
+	kidsBuf []Child
+	keyBuf  []byte
 
 	// RawCount is the number of dynamic region summaries interned,
 	// i.e. the record count of the equivalent uncompressed trace.
@@ -82,9 +86,13 @@ func (d *Dict) Intern(staticID int32, work, cp uint64, children map[int32]int64)
 // normalized here by merging adjacent equal-character runs and dropping
 // empty ones). The key is sequence-sensitive: the same children multiset
 // with a different interleaving is a different entry. runs is not retained.
+// A hit allocates nothing: the normalized runs and the key are built in
+// reusable buffers, and the key is looked up without converting it to a
+// string; the entry's child slice and the key string are made only for a
+// new entry.
 func (d *Dict) InternRuns(staticID int32, work, cp uint64, runs []Child) int32 {
 	d.RawCount++
-	kids := make([]Child, 0, len(runs))
+	kids := d.kidsBuf[:0]
 	for _, r := range runs {
 		if r.Count == 0 {
 			continue
@@ -95,32 +103,24 @@ func (d *Dict) InternRuns(staticID int32, work, cp uint64, runs []Child) int32 {
 			kids = append(kids, r)
 		}
 	}
+	d.kidsBuf = kids
 
-	key := makeKey(staticID, work, cp, kids)
-	if c, ok := d.index[key]; ok {
+	key := binary.AppendUvarint(d.keyBuf[:0], uint64(staticID))
+	key = binary.AppendUvarint(key, work)
+	key = binary.AppendUvarint(key, cp)
+	for _, k := range kids {
+		key = binary.AppendUvarint(key, uint64(k.Char))
+		key = binary.AppendUvarint(key, uint64(k.Count))
+	}
+	d.keyBuf = key
+	if c, ok := d.index[string(key)]; ok {
 		return c
 	}
 	c := int32(len(d.Entries))
-	d.Entries = append(d.Entries, Entry{StaticID: staticID, Work: work, CP: cp, Children: kids})
-	d.index[key] = c
+	d.Entries = append(d.Entries, Entry{StaticID: staticID, Work: work, CP: cp,
+		Children: append(make([]Child, 0, len(kids)), kids...)})
+	d.index[string(key)] = c
 	return c
-}
-
-func makeKey(staticID int32, work, cp uint64, kids []Child) string {
-	buf := make([]byte, 0, 20+len(kids)*12)
-	var tmp [binary.MaxVarintLen64]byte
-	put := func(v uint64) {
-		n := binary.PutUvarint(tmp[:], v)
-		buf = append(buf, tmp[:n]...)
-	}
-	put(uint64(staticID))
-	put(work)
-	put(cp)
-	for _, k := range kids {
-		put(uint64(k.Char))
-		put(uint64(k.Count))
-	}
-	return string(buf)
 }
 
 // Profile is a complete parallelism profile: the dictionary plus one root

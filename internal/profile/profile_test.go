@@ -207,3 +207,31 @@ func TestRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestInternRunsNormalizesAndHitsWithoutAllocating: run sequences that
+// normalize alike (adjacent equal runs merged, empty runs dropped) intern
+// to one character with the merged children, and a repeat lookup — the
+// common case, one per dynamic region exit — allocates nothing.
+func TestInternRunsNormalizesAndHitsWithoutAllocating(t *testing.T) {
+	d := NewDict()
+	a := d.InternRuns(1, 0, 0, nil)
+	b := d.InternRuns(1, 0, 0, nil)
+	if a != b {
+		t.Fatalf("leaf interned twice: %d vs %d", a, b)
+	}
+	split := []Child{{Char: a, Count: 2}, {Char: 9, Count: 0}, {Char: a, Count: 3}, {Char: 7, Count: 1}}
+	merged := []Child{{Char: a, Count: 5}, {Char: 7, Count: 1}}
+	c := d.InternRuns(2, 10, 4, split)
+	if got := d.InternRuns(2, 10, 4, merged); got != c {
+		t.Fatalf("normalized runs interned to %d, split runs to %d", got, c)
+	}
+	if kids := d.Entries[c].Children; len(kids) != 2 || kids[0] != merged[0] || kids[1] != merged[1] {
+		t.Fatalf("children = %v, want %v", kids, merged)
+	}
+	if d.InternRuns(2, 10, 4, merged[:1]) == c || d.InternRuns(2, 10, 5, merged) == c {
+		t.Fatal("distinct summaries share a character")
+	}
+	if n := testing.AllocsPerRun(100, func() { d.InternRuns(2, 10, 4, split) }); n != 0 {
+		t.Errorf("InternRuns hit allocates %.1f times, want 0", n)
+	}
+}

@@ -301,14 +301,24 @@ func (t *RegisterTable) Get(id int) Vec { return t.vecs[id] }
 // Set stores the first n entries of src as the vector of value id,
 // reusing storage.
 func (t *RegisterTable) Set(id int, src Vec, n int) {
+	copy(t.Sized(id, n), src[:n])
+}
+
+// Sized returns value id's vector resized to n entries, reusing its
+// storage, for the caller to overwrite in place — Set without the source
+// copy. Entries the caller does not write hold stale data.
+func (t *RegisterTable) Sized(id, n int) Vec {
 	dst := t.vecs[id]
+	if len(dst) == n {
+		return dst // the steady state: no slice-header store, no write barrier
+	}
 	if cap(dst) < n {
 		dst = make(Vec, n)
 	} else {
 		dst = dst[:n]
 	}
-	copy(dst, src[:n])
 	t.vecs[id] = dst
+	return dst
 }
 
 // Reset empties the table and resizes it for n values, keeping each slot's

@@ -3,11 +3,15 @@ package kremlin_test
 import (
 	"context"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 	"time"
 
 	"kremlin"
+	"kremlin/internal/bytecode"
+	"kremlin/internal/interp"
+	"kremlin/internal/kremlib"
 	"kremlin/internal/limits"
 	"kremlin/internal/parallel"
 )
@@ -209,6 +213,69 @@ func TestEnginePrefixParity(t *testing.T) {
 	if vres.Steps != tres.Steps {
 		t.Errorf("heap cap: partial steps diverged: vm %d, tree %d", vres.Steps, tres.Steps)
 	}
+}
+
+// TestEngineHCPAPrefixParity extends TestEnginePrefixParity's contract to
+// HCPA runs, whose batched blocks replay their shadow updates (StepBlock)
+// between liveness polls. The same budgets must cut the profiled run at the
+// same step with the same work on both engines — on longProg and on
+// arrayProg, whose loop bodies load and store on the batched path. The
+// shadow-page cap is polled only at liveness boundaries, and no batched
+// block spans one, so both engines see the same page count at every poll:
+// the error text (page count and step) and the partial counters must match.
+func TestEngineHCPAPrefixParity(t *testing.T) {
+	budgets := []uint64{
+		50_000,
+		limits.LiveCheckInterval - 1,
+		limits.LiveCheckInterval,
+		limits.LiveCheckInterval + 1,
+		3 * limits.LiveCheckInterval,
+	}
+	for _, src := range []string{longProg, arrayProg} {
+		p := compileT(t, src)
+		for _, b := range budgets {
+			vres, tres, verr, terr := hcpaBothEngines(p, interp.Config{MaxSteps: b})
+			if !errors.Is(verr, limits.ErrBudgetExceeded) || !errors.Is(terr, limits.ErrBudgetExceeded) {
+				t.Fatalf("budget %d: vm err %v, tree err %v", b, verr, terr)
+			}
+			if verr.Error() != terr.Error() {
+				t.Errorf("budget %d: error text diverged:\nvm:   %v\ntree: %v", b, verr, terr)
+			}
+			if partialCounters(vres) != partialCounters(tres) {
+				t.Errorf("budget %d: partial counters diverged: vm %v, tree %v", b, partialCounters(vres), partialCounters(tres))
+			}
+		}
+	}
+
+	hungry := compileT(t, hungryProg)
+	for _, pages := range []int{1, 4, 16} {
+		vres, tres, verr, terr := hcpaBothEngines(hungry, interp.Config{Opts: kremlib.Options{MaxShadowPages: pages}})
+		if !errors.Is(verr, limits.ErrMemCap) || !errors.Is(terr, limits.ErrMemCap) {
+			t.Fatalf("shadow cap %d: vm err %v, tree err %v", pages, verr, terr)
+		}
+		if verr.Error() != terr.Error() {
+			t.Errorf("shadow cap %d: error text diverged:\nvm:   %v\ntree: %v", pages, verr, terr)
+		}
+		if partialCounters(vres) != partialCounters(tres) {
+			t.Errorf("shadow cap %d: partial counters diverged: vm %v, tree %v", pages, partialCounters(vres), partialCounters(tres))
+		}
+	}
+}
+
+// hcpaBothEngines profiles p under the limits in cfg on the bytecode VM
+// and on the tree engine. It calls the engines directly, because
+// Program.Profile drops the partial result of a stopped run.
+func hcpaBothEngines(p *kremlin.Program, cfg interp.Config) (vres, tres *interp.Result, verr, terr error) {
+	cfg.Mode, cfg.Prog, cfg.Instr, cfg.Out = interp.HCPA, p.Regions, p.Instr, io.Discard
+	vres, verr = bytecode.Run(p.Bytecode(), cfg)
+	tres, terr = interp.Run(p.Module, cfg)
+	return vres, tres, verr, terr
+}
+
+// partialCounters are the fields of an HCPA limit-stop result: steps,
+// work, live shadow pages and shadow writes.
+func partialCounters(r *interp.Result) [4]uint64 {
+	return [4]uint64{r.Steps, r.Work, uint64(r.ShadowPages), r.ShadowWrites}
 }
 
 // arrayProg spends nearly all of its steps in array accesses whose
