@@ -6,5 +6,5 @@ import "time"
 
 var processStart = time.Now()
 
-// processCPU falls back to wall time where getrusage is unavailable.
-func processCPU() time.Duration { return time.Since(processStart) }
+// threadCPU falls back to wall time where getrusage is unavailable.
+func threadCPU() time.Duration { return time.Since(processStart) }

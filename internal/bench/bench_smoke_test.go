@@ -44,11 +44,13 @@ func TestAllBenchmarksCompileAndProfile(t *testing.T) {
 }
 
 // TestHCPABatchedCoverage pins how much of an HCPA run the bytecode VM
-// batches: at least 99% of the suite's body steps must replay through
-// StepBlock rather than one Step per instruction. Blocks that call, allocate,
-// or use rand or print stay per-instruction; in the suite they are rare.
+// batches: in every benchmark at least 99% of the steps (edge phis
+// included) must replay from a template — fast blocks through one
+// StepBlock, exact (call and allocation) blocks in runs cut at each call —
+// rather than one Step per instruction. Only blocks without bytecode and
+// blocks that sit at a budget or liveness-poll edge take per-instruction
+// Steps.
 func TestHCPABatchedCoverage(t *testing.T) {
-	var batched, slow uint64
 	for _, b := range All() {
 		c, err := Load(b)
 		if err != nil {
@@ -58,15 +60,13 @@ func TestHCPABatchedCoverage(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
-		if res.BatchedSteps == 0 {
-			t.Errorf("%s: no batched steps", b.Name)
+		frac := float64(res.BatchedSteps) / float64(res.BatchedSteps+res.SlowSteps)
+		t.Logf("%s: %.2f%% of %d steps batched", b.Name, 100*frac, res.BatchedSteps+res.SlowSteps)
+		if total := res.BatchedSteps + res.SlowSteps; total != res.Steps {
+			t.Errorf("%s: batched+slow steps %d, want the run's %d", b.Name, total, res.Steps)
 		}
-		t.Logf("%s: %.2f%% of %d body steps batched", b.Name,
-			100*float64(res.BatchedSteps)/float64(res.BatchedSteps+res.SlowSteps), res.BatchedSteps+res.SlowSteps)
-		batched += res.BatchedSteps
-		slow += res.SlowSteps
-	}
-	if frac := float64(batched) / float64(batched+slow); frac < 0.99 {
-		t.Errorf("%.2f%% of HCPA body steps batched over the suite, want >= 99%%", 100*frac)
+		if frac < 0.99 {
+			t.Errorf("%s: %.2f%% of HCPA steps batched, want >= 99%%", b.Name, 100*frac)
+		}
 	}
 }

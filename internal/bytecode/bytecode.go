@@ -5,34 +5,43 @@
 // per-instruction budget/liveness checks, and a per-instruction KremLib
 // Step call. This engine removes all three on the hot path:
 //
-//   - IR is lowered once into a contiguous []Ins per function. Operands
-//     are resolved to register-file indices at compile time (constants are
-//     materialized into the top of the register file at call entry, so an
-//     operand fetch is a single slice index, never an interface switch),
-//     and the hot compare-branch and index-load/store pairs are fused into
+//   - IR is lowered once into a contiguous []Ins per function, on the
+//     function's first call (Program.Func). Operands are resolved to
+//     register-file indices at compile time (constants are materialized
+//     into the top of the register file at call entry, so an operand fetch
+//     is a single slice index, never an interface switch), and the hot
+//     compare-branch and index-load/store pairs are fused into
 //     superinstructions.
 //   - Instruction budget and liveness polling are enforced per basic
 //     block: a block with n instructions runs check-free when steps+n
 //     stays under the budget and does not cross a poll boundary
 //     (limits.LiveCheckInterval); otherwise the block falls back to the
 //     exact per-instruction reference path.
-//   - HCPA bookkeeping is batched per block: every block without calls,
-//     allocations, or rand/print builtins carries a precompiled
-//     kremlib.BlockTemplate and issues one StepBlock instead of one Step
-//     per instruction. Loads, stores and returns batch too: the fast path
-//     records each load/store address in a per-machine buffer, in block
-//     order, and StepBlock replays the shadow-memory reads and writes from
-//     it. Region boundaries fall on CFG edges, never inside a block.
+//   - HCPA bookkeeping is batched per block: every block with bytecode
+//     carries a precompiled kremlib.BlockTemplate, and every edge into a
+//     block with phis an edge template. A fast block issues one StepBlock
+//     for the incoming edge's phis and its body together, instead of one
+//     Step per instruction. Loads and stores batch too: the VM records
+//     each load/store address in a per-machine buffer, in block order, and
+//     StepBlock replays the shadow-memory reads and writes from it. An
+//     exact block (calls, allocations) replays its template in runs cut at
+//     each call. Region boundaries fall on CFG edges, never inside a block.
 //
 // The fallback ("slow") path is a per-instruction walk of the original IR
 // block that mirrors internal/interp statement for statement, so every
 // observable — output bytes, step and work counters, the full HCPA
 // profile, error text and position, and partial results at budget/cap
-// stops — is bit-identical between engines. The krfuzz differential
-// oracle enforces this continuously.
+// stops — is bit-identical between engines. Under HCPA it is reached only
+// by blocks with no bytecode and by fast blocks whose execution would cross
+// the budget or a liveness poll. The krfuzz differential oracle enforces
+// the equivalence continuously.
 package bytecode
 
 import (
+	"sync"
+
+	"kremlin/internal/absint"
+	"kremlin/internal/instrument"
 	"kremlin/internal/ir"
 	"kremlin/internal/kremlib"
 	"kremlin/internal/regions"
@@ -143,8 +152,9 @@ const (
 	opCall
 	opAlloc
 
-	// Builtins (specialized; print/rand stay fast-path eligible outside
-	// HCPA because they touch no shadow state).
+	// Builtins (specialized; all fast-path eligible — under HCPA the
+	// print and rand templates chain through the runtime's IO and RNG
+	// vectors).
 	opSqrt
 	opFabs
 	opFloor
@@ -273,21 +283,22 @@ type BBlock struct {
 	// NeedsSlow marks blocks that always take a per-instruction path:
 	// calls (the callee perturbs the step counter mid-block) and array
 	// allocations (they can fail the heap cap mid-block, and partial
-	// results must be exact prefixes). In HCPA mode that path is execSlow,
-	// one Step per instruction.
+	// results must be exact prefixes).
 	NeedsSlow bool
 	// Exact marks NeedsSlow blocks whose Start/End range holds unfused
 	// 1:1 bytecode for execExact (per-instruction budget/liveness/work,
-	// register-indexed dispatch). Non-exact NeedsSlow blocks — unknown
-	// builtins, degenerate control flow — carry no bytecode and always
-	// take the execSlow reference walk, as does HCPA mode (which needs
-	// per-IR shadow Steps).
+	// register-indexed dispatch; params become leading nops). Non-exact
+	// NeedsSlow blocks — unknown builtins, degenerate control flow — carry
+	// no bytecode and always take the execSlow reference walk.
 	Exact bool
-	// Tpl is the batched HCPA template, covering loads, stores and the
-	// return; nil for NeedsSlow blocks and for blocks that call a rand or
-	// print builtin (those chain through the runtime's RNG and IO vectors,
-	// so they keep one Step per instruction via execSlow).
-	Tpl *kremlib.BlockTemplate
+	// Tpl is the block's HCPA template: one entry per body instruction
+	// except params, loads, stores, the return and rand/print builtins
+	// included. Every block with bytecode carries one; non-exact NeedsSlow
+	// blocks, which have none, take one Step per instruction via execSlow.
+	// Fast blocks replay it whole after execFast, fused with the incoming
+	// edge's phis; exact blocks replay it in runs cut at each call (the
+	// call's own entry closes its run, so it lands before the callee runs).
+	Tpl kremlib.BlockTemplate
 	// HasPush/PopAt: the branch pushes a control-dependence entry popped
 	// at PopAt (precompiled from the instrumentation tables).
 	HasPush bool
@@ -305,14 +316,19 @@ type Move struct {
 }
 
 // Edge is one precompiled CFG edge: where it lands, the phi moves and
-// shadow Steps it performs, and the region enter/exit/iterate events it
+// shadow updates it performs, and the region enter/exit/iterate events it
 // fires — everything interp recomputes per traversal, resolved once.
 type Edge struct {
 	Target  int32 // block index in FuncCode.Blocks
 	PredIdx int32 // incoming-predecessor index at the target (phi selector)
 	NPhis   uint32
 	Moves   []Move
-	Phis    []*ir.Instr // all phis at the target, in order (HCPA Steps)
+	// Tpl is the edge template: one entry per phi at the target, in order,
+	// each the phi's Step with this edge's operand (nil when the target
+	// has no phis). The VM replays it in the target block's StepBlock, so
+	// phis and body share one control baseline; when the target is not
+	// batched it is replayed alone before the body.
+	Tpl kremlib.BlockTemplate
 	// Region events (mirrors regions.EdgeEvents with Exit flattened to a
 	// count — the interpreter only ranges over it).
 	NExit   int32
@@ -356,10 +372,37 @@ type FuncCode struct {
 	Root *regions.Region
 }
 
-// Program is a compiled module: one FuncCode per IR function.
+// Program is a compiled module: one FuncCode per IR function, compiled on
+// first use (Func). A run compiles only the functions it executes, so an
+// incremental re-profile that replays nearly every call from its cache
+// does not pay to compile the whole module.
 type Program struct {
-	Mod    *ir.Module
-	Prog   *regions.Program
-	Funcs  []*FuncCode
-	ByFunc map[*ir.Func]*FuncCode
+	Mod   *ir.Module
+	Prog  *regions.Program
+	funcs []lazyFunc
+	index map[*ir.Func]int32 // function -> Mod.Funcs index (opCall's A)
+	instr *instrument.Module
+	facts *absint.Facts
+}
+
+type lazyFunc struct {
+	once sync.Once
+	fc   *FuncCode
+}
+
+// Func returns function i of Mod.Funcs compiled, compiling it on first
+// use. It is safe for concurrent use (sharded runs share one Program).
+func (p *Program) Func(i int32) *FuncCode {
+	lf := &p.funcs[i]
+	lf.once.Do(func() { lf.fc = compileFunc(p.Mod.Funcs[i], p.Prog, p.instr, p.index, p.facts) })
+	return lf.fc
+}
+
+// Funcs compiles every function and returns them in module order.
+func (p *Program) Funcs() []*FuncCode {
+	fcs := make([]*FuncCode, len(p.funcs))
+	for i := range p.funcs {
+		fcs[i] = p.Func(int32(i))
+	}
+	return fcs
 }

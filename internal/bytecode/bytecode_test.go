@@ -2,6 +2,7 @@ package bytecode
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -197,7 +198,7 @@ func TestEngineEquivalence(t *testing.T) {
 // countOps tallies every opcode across a program's bytecode.
 func countOps(p *Program) map[opcode]int {
 	n := make(map[opcode]int)
-	for _, fc := range p.Funcs {
+	for _, fc := range p.Funcs() {
 		for _, ins := range fc.Code {
 			n[ins.Op]++
 		}
@@ -270,68 +271,78 @@ void main() {
 	}
 }
 
-// TestBatchTemplates checks that every block off the NeedsSlow path gets
-// an HCPA template (the batched StepBlock path) unless it calls a rand or
-// print builtin — loads, stores and returns included — while
-// call-containing blocks do not.
+// TestBatchTemplates checks that every block with bytecode carries an HCPA
+// template — loads, stores, returns, rand/print builtins and exact (call)
+// blocks included — that blocks without bytecode carry none, and that
+// every edge into a block with phis carries an edge template.
 func TestBatchTemplates(t *testing.T) {
+	kinds := map[kremlib.TplKind]int{}
+	var exact int
 	for name, src := range testPrograms {
 		c := compileKr(t, src)
-		for _, fc := range c.prog.Funcs {
+		for _, fc := range c.prog.Funcs() {
 			for bi, b := range fc.Blocks {
-				if b.NeedsSlow {
-					continue
+				if hasCode := !b.NeedsSlow || b.Exact; hasCode != (b.Tpl != nil) {
+					t.Errorf("%s: func %s block %d: bytecode %v but template %v", name, fc.F.Name, bi, hasCode, b.Tpl != nil)
 				}
-				chained := false
-				for _, ins := range b.IR.Instrs {
-					if ins.Op == ir.OpBuiltin && knownBuiltins[ins.Builtin] {
-						chained = true
-					}
+				if b.Exact {
+					exact++
 				}
-				if chained && b.Tpl != nil {
-					t.Errorf("%s: func %s block %d: rand/print block carries a template", name, fc.F.Name, bi)
+				for _, ti := range b.Tpl {
+					kinds[ti.Kind]++
 				}
-				if !chained && b.Tpl == nil {
-					t.Errorf("%s: func %s block %d: batchable block has no template", name, fc.F.Name, bi)
+			}
+			for ei, e := range fc.Edges {
+				if (e.NPhis > 0) != (e.Tpl != nil) {
+					t.Errorf("%s: func %s edge %d: %d phis but template %v", name, fc.F.Name, ei, e.NPhis, e.Tpl != nil)
+				}
+				for _, ti := range e.Tpl {
+					kinds[ti.Kind]++
 				}
 			}
 		}
 	}
-	c := compileKr(t, testPrograms["arrays"])
-	var memTpl int
-	for _, fc := range c.prog.Funcs {
-		for _, b := range fc.Blocks {
-			if b.Tpl == nil {
-				continue
-			}
-			for _, ti := range b.Tpl.Ins {
-				if ti.Kind != kremlib.TplPlain {
-					memTpl++
-				}
-			}
+	for _, k := range []kremlib.TplKind{kremlib.TplPlain, kremlib.TplLoad, kremlib.TplStore, kremlib.TplRet, kremlib.TplPrint} {
+		if kinds[k] == 0 {
+			t.Errorf("no template entry of kind %d over the test programs (kinds %v)", k, kinds)
 		}
 	}
-	if memTpl == 0 {
-		t.Error("no template in the arrays program batches a load, store or return")
+	if exact == 0 {
+		t.Error("no exact block over the test programs")
 	}
+}
 
-	calls := compileKr(t, testPrograms["calls"])
-	for _, fc := range calls.prog.Funcs {
-		for _, b := range fc.Blocks {
-			if !b.NeedsSlow {
-				continue
+// TestHCPACallsAllocationFree pins the profiled call path as
+// allocation-free: the argument vectors and cache-key bits of a call live
+// in machine-owned buffers, and the frames, register files and region
+// records they need are pooled. A run making ten times as many calls must
+// allocate no more objects, up to a small constant.
+func TestHCPACallsAllocationFree(t *testing.T) {
+	allocs := func(iters int) float64 {
+		c := compileKr(t, fmt.Sprintf(`
+int f(int x, int y) {
+	return x * y + 1;
+}
+int main() {
+	int acc = 0;
+	for (int i = 0; i < %d; i++) {
+		acc = (acc + f(i, acc %% 7) + f(acc, 3)) %% 1000;
+	}
+	print(acc);
+	return 0;
+}`, iters))
+		return testing.AllocsPerRun(3, func() {
+			if _, err := Run(c.prog, c.config(interp.HCPA, io.Discard)); err != nil {
+				t.Fatal(err)
 			}
-			if b.Tpl != nil {
-				t.Errorf("func %s: NeedsSlow block has a template", fc.F.Name)
-			}
-			if b.Exact {
-				if b.Start < 0 || b.End < b.Start {
-					t.Errorf("func %s: exact block without bytecode [%d,%d)", fc.F.Name, b.Start, b.End)
-				}
-			} else if b.Start != -1 || b.End != -1 {
-				t.Errorf("func %s: non-exact NeedsSlow block has bytecode [%d,%d)", fc.F.Name, b.Start, b.End)
-			}
-		}
+		})
+	}
+	// A few objects of slack absorb amortized growth that does not scale
+	// with the call count (the race runtime adds one); an allocating call
+	// path adds thousands.
+	few, many := allocs(200), allocs(2000)
+	if many > few+10 {
+		t.Errorf("HCPA run with 4000 calls made %.0f allocations, with 400 calls %.0f: the call path allocates", many, few)
 	}
 }
 
@@ -487,12 +498,36 @@ func TestVerifyRejectsCorruption(t *testing.T) {
 		// StepBlock read past the block's address buffer.
 		{"template-memory-mismatch", func(fc *FuncCode) bool {
 			for bi := range fc.Blocks {
-				if tpl := fc.Blocks[bi].Tpl; tpl != nil {
-					for i := range tpl.Ins {
-						if tpl.Ins[i].Kind == kremlib.TplPlain {
-							tpl.Ins[i].Kind = kremlib.TplStore
-							return true
-						}
+				tpl := fc.Blocks[bi].Tpl
+				for i := range tpl {
+					if tpl[i].Kind == kremlib.TplPlain {
+						tpl[i].Kind = kremlib.TplStore
+						return true
+					}
+				}
+			}
+			return false
+		}},
+		// An edge template entry that writes another register than its phi
+		// would leave the phi's shadow vector stale.
+		{"edge-template-mismatch", func(fc *FuncCode) bool {
+			for ei := range fc.Edges {
+				if tpl := fc.Edges[ei].Tpl; len(tpl) > 0 {
+					tpl[0].Res = (tpl[0].Res + 1) % fc.ConstBase
+					return true
+				}
+			}
+			return false
+		}},
+		// Inline operands that disagree with Args would fold another
+		// register than the one the tracer notes.
+		{"template-inline-operands", func(fc *FuncCode) bool {
+			for bi := range fc.Blocks {
+				tpl := fc.Blocks[bi].Tpl
+				for i := range tpl {
+					if tpl[i].N == 2 {
+						tpl[i].Args = []int32{tpl[i].A, tpl[i].B}
+						return true
 					}
 				}
 			}
@@ -503,7 +538,7 @@ func TestVerifyRejectsCorruption(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c := compileKr(t, testPrograms["arith"])
 			var applied bool
-			for _, fc := range c.prog.Funcs {
+			for _, fc := range c.prog.Funcs() {
 				if tc.mut(fc) {
 					applied = true
 					break

@@ -11,10 +11,11 @@ import (
 	"kremlin/internal/regions"
 )
 
-// Compile lowers a module into flat bytecode. prog and instr are the
-// region analysis and instrumentation tables the module was compiled with
-// (the same ones the tree engine consults at run time); edges, control
-// pushes, and region events are resolved against them once, here. facts,
+// Compile prepares a module for the VM; each function lowers into flat
+// bytecode on first use (Program.Func). prog and instr are the region
+// analysis and instrumentation tables the module was compiled with (the
+// same ones the tree engine consults at run time); edges, control pushes,
+// and region events are resolved against them once, at compilation. facts,
 // when non-nil, supplies the abstract interpreter's proofs: views proven
 // in bounds and divisors proven nonzero compile to unchecked opcode
 // variants and open fusion windows that faultable instructions would
@@ -22,15 +23,10 @@ import (
 // profiles, plans, and program output are identical either way — only the
 // dispatch cost of the proven checks differs.
 func Compile(mod *ir.Module, prog *regions.Program, instr *instrument.Module, facts *absint.Facts) *Program {
-	p := &Program{Mod: mod, Prog: prog, ByFunc: make(map[*ir.Func]*FuncCode, len(mod.Funcs))}
-	fidx := make(map[*ir.Func]int32, len(mod.Funcs))
+	p := &Program{Mod: mod, Prog: prog, funcs: make([]lazyFunc, len(mod.Funcs)),
+		index: make(map[*ir.Func]int32, len(mod.Funcs)), instr: instr, facts: facts}
 	for i, f := range mod.Funcs {
-		fidx[f] = int32(i)
-	}
-	for _, f := range mod.Funcs {
-		fc := compileFunc(f, prog, instr, fidx, facts)
-		p.Funcs = append(p.Funcs, fc)
-		p.ByFunc[f] = fc
+		p.index[f] = int32(i)
 	}
 	return p
 }
@@ -134,39 +130,23 @@ func (c *fnCompiler) constReg(k constKey, v val) int32 {
 	return c.fc.ConstBase + idx
 }
 
-// pureBuiltins touch only registers (no RNG or IO state); dim can fail,
-// but a mid-block runtime error aborts the whole run, which is
-// unobservable since errors return a nil Result.
-var pureBuiltins = map[string]bool{
-	"sqrt": true, "fabs": true, "floor": true, "exp": true, "log": true,
-	"sin": true, "cos": true, "pow": true, "abs": true, "min": true,
-	"max": true, "dim": true,
-}
-
-// knownBuiltins is everything else the engines implement: the RNG and
-// print builtins, which chain through the runtime's RNG and IO vectors and
-// so keep their blocks on the per-instruction HCPA path. Anything unknown
+// knownBuiltins are the builtins both engines implement; all of them may
+// run check-free (dim can fail mid-block, but a runtime error aborts the
+// run with no result, so where it stops is unobservable). Anything else
 // makes the block slow-path so the reference error text is produced.
 var knownBuiltins = map[string]bool{
-	"rand": true, "frand": true, "srand": true,
+	"sqrt": true, "fabs": true, "floor": true, "exp": true, "log": true,
+	"sin": true, "cos": true, "pow": true, "abs": true, "min": true,
+	"max": true, "dim": true, "rand": true, "frand": true, "srand": true,
 	"printstr": true, "printval": true, "printnl": true,
 }
-
-func isKnownBuiltin(name string) bool { return pureBuiltins[name] || knownBuiltins[name] }
 
 func (c *fnCompiler) compileBlock(bi int32, blk *ir.Block) {
 	bb := &c.fc.Blocks[bi]
 	bb.IR = blk
 	bb.Start, bb.End = -1, -1
 
-	nPhis := 0
-	for _, ins := range blk.Instrs {
-		if ins.Op != ir.OpPhi {
-			break
-		}
-		nPhis++
-	}
-	body := blk.Instrs[nPhis:]
+	body := blk.Instrs[len(phisOf(blk)):]
 
 	for _, ins := range body {
 		bb.NSteps++
@@ -175,10 +155,9 @@ func (c *fnCompiler) compileBlock(bi int32, blk *ir.Block) {
 
 	// Classify. NeedsSlow blocks take a per-instruction path
 	// unconditionally (exact bytecode when representable, the reference
-	// walk otherwise). Every other block gets an HCPA template unless it
-	// calls a rand or print builtin: loads, stores and returns batch, their
-	// shadow-memory traffic and RetVec capture replayed by StepBlock.
-	batch := true
+	// walk otherwise). Every block that carries bytecode also carries its
+	// HCPA template, replayed by StepBlock: whole for fast blocks, in runs
+	// cut at each call for exact ones.
 	exactOK := true
 	for i, ins := range body {
 		switch ins.Op {
@@ -186,12 +165,9 @@ func (c *fnCompiler) compileBlock(bi int32, blk *ir.Block) {
 			ir.OpGlobal, ir.OpView, ir.OpLoad, ir.OpStore:
 			// template-eligible
 		case ir.OpBuiltin:
-			if !isKnownBuiltin(ins.Builtin) {
+			if !knownBuiltins[ins.Builtin] {
 				bb.NeedsSlow = true
 				exactOK = false
-			}
-			if !pureBuiltins[ins.Builtin] {
-				batch = false
 			}
 		case ir.OpBr, ir.OpJump, ir.OpRet:
 			if i != len(body)-1 {
@@ -247,19 +223,31 @@ func (c *fnCompiler) compileBlock(bi int32, blk *ir.Block) {
 	}
 
 	if bb.NeedsSlow {
-		if exactOK {
-			c.emitExact(bb, body)
+		if !exactOK {
+			return
 		}
-		return
+		c.emitExact(bb, body)
+	} else {
+		c.emit(bb, body)
 	}
-	c.emit(bb, body)
-	if batch {
-		bb.Tpl = c.template(body)
+	// The template's memory entries follow IR order, which is also the
+	// order the emitted bytecode executes its loads and stores in (fusion
+	// elides views, never a load or store), so they line up with the VM's
+	// address buffer.
+	bb.Tpl = kremlib.BlockTemplateOf(body)
+}
+
+// phisOf returns blk's leading phis.
+func phisOf(blk *ir.Block) []*ir.Instr {
+	n := 0
+	for n < len(blk.Instrs) && blk.Instrs[n].Op == ir.OpPhi {
+		n++
 	}
+	return blk.Instrs[:n]
 }
 
 // addEdge precompiles the CFG edge blk→to: target index, phi moves and
-// Step list, predecessor index, and region events.
+// HCPA template, predecessor index, and region events.
 func (c *fnCompiler) addEdge(blk, to *ir.Block) int32 {
 	e := Edge{Target: c.idxOf[to], PredIdx: -1}
 	for i, p := range to.Preds {
@@ -268,15 +256,15 @@ func (c *fnCompiler) addEdge(blk, to *ir.Block) int32 {
 			break
 		}
 	}
-	for _, ins := range to.Instrs {
-		if ins.Op != ir.OpPhi {
-			break
-		}
-		e.NPhis++
-		e.Phis = append(e.Phis, ins)
+	phis := phisOf(to)
+	for _, ins := range phis {
 		if e.PredIdx >= 0 && int(e.PredIdx) < len(ins.Args) {
 			e.Moves = append(e.Moves, Move{Dst: int32(ins.ID), Src: c.opnd(ins.Args[e.PredIdx])})
 		}
+	}
+	e.NPhis = uint32(len(phis))
+	if len(phis) > 0 {
+		e.Tpl = kremlib.EdgeTemplateOf(phis, int(e.PredIdx))
 	}
 	ev := c.fi.EdgeEvents(blk, to)
 	e.NExit = int32(len(ev.Exit))
@@ -285,52 +273,6 @@ func (c *fnCompiler) addEdge(blk, to *ir.Block) int32 {
 	idx := int32(len(c.fc.Edges))
 	c.fc.Edges = append(c.fc.Edges, e)
 	return idx
-}
-
-// template builds the batched HCPA effect of a block: one entry per
-// stepped instruction (params excluded — the interpreter never Steps
-// them), argument vectors resolved to register IDs with constants and
-// broken (induction/reduction) dependencies dropped at compile time, as
-// Step drops them. Loads, stores and returns carry their side effect in
-// Kind; memory entries stay in IR order, which is also the order the
-// emitted bytecode executes its loads and stores in (fusion elides views,
-// never a load or store), so they line up with the VM's address buffer.
-func (c *fnCompiler) template(body []*ir.Instr) *kremlib.BlockTemplate {
-	tpl := &kremlib.BlockTemplate{}
-	for _, ins := range body {
-		if ins.Op == ir.OpParam {
-			continue
-		}
-		ti := kremlib.TplIns{Res: -1, Lat: ins.Latency()}
-		if ins.HasResult() {
-			ti.Res = int32(ins.ID)
-		}
-		breakArg := ins.BreakArg
-		switch ins.Op {
-		case ir.OpLoad:
-			// Step folds a load's address operand unconditionally.
-			breakArg = -1
-			ti.Kind = kremlib.TplLoad
-			if ins.Reduction {
-				ti.Kind = kremlib.TplLoadReduction
-			}
-		case ir.OpStore:
-			ti.Kind = kremlib.TplStore
-		case ir.OpRet:
-			ti.Kind = kremlib.TplRet
-		}
-		for i, a := range ins.Args {
-			if i == breakArg {
-				continue
-			}
-			if ai, ok := a.(*ir.Instr); ok {
-				ti.Args = append(ti.Args, int32(ai.ID))
-			}
-		}
-		tpl.TotalLat += ti.Lat
-		tpl.Ins = append(tpl.Ins, ti)
-	}
-	return tpl
 }
 
 // transparent reports whether an instruction may sit between a fused view
@@ -523,10 +465,11 @@ func (c *fnCompiler) push(i Ins) {
 }
 
 // emitExact lowers a NeedsSlow block to unfused 1:1 bytecode — one
-// instruction per IR instruction (params become nops), calls and
-// allocations included — recording each instruction's IR latency in
-// FuncCode.Lat. execExact replays it with the reference engine's exact
-// per-instruction budget/liveness/work accounting in non-HCPA modes.
+// instruction per IR instruction (params become nops, and lead the block),
+// calls and allocations included — recording each instruction's IR latency
+// in FuncCode.Lat. execExact replays it with the reference engine's exact per-instruction
+// budget/liveness/work accounting; under HCPA it replays the block's
+// template in runs cut at each call.
 func (c *fnCompiler) emitExact(bb *BBlock, body []*ir.Instr) {
 	c.inExact = true
 	defer func() { c.inExact = false }()

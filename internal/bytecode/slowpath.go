@@ -17,28 +17,20 @@ import (
 // reference interpreter statement for statement: the step counter, budget
 // check, liveness poll, work accrual, KremLib Step placement, and error
 // text/position all match interp exactly. Blocks take this path when they
-// contain calls, allocations, or degenerate control flow (NeedsSlow), when
-// the remaining budget or an imminent liveness poll demands per-instruction
-// checks, or in HCPA mode when the block has no batched template (it calls
-// a rand or print builtin).
+// have no bytecode (unknown builtins, degenerate control flow), or when
+// they are fast blocks and the remaining budget or an imminent liveness
+// poll demands per-instruction checks. Exact blocks never take it: they
+// run on execExact in every mode.
 //
 // The final value of next (last branch executed wins, as in the reference
 // loop) maps onto the block's precompiled edges; a nil next ends the
 // function.
 func (m *machine) execSlow(fc *FuncCode, regs []val, b *BBlock, fs *kremlib.FrameState) (int32, val, bool, error) {
 	blk := b.IR
-	nPhis := 0
-	for _, ins := range blk.Instrs {
-		if ins.Op != ir.OpPhi {
-			break
-		}
-		nPhis++
-	}
-
 	var next *ir.Block
 	var retVal val
 	returned := false
-	for _, ins := range blk.Instrs[nPhis:] {
+	for _, ins := range blk.Instrs[len(phisOf(blk)):] {
 		m.steps++
 		m.slowSteps++
 		if m.steps > m.limit {
@@ -196,6 +188,7 @@ func (m *machine) execSlow(fc *FuncCode, regs []val, b *BBlock, fs *kremlib.Fram
 	return -1, val{}, false, nil
 }
 
+// doCall is execSlow's OpCall: the call's own Step, then invoke.
 func (m *machine) doCall(regs []val, ins *ir.Instr, fs *kremlib.FrameState) error {
 	if cap(m.argScratch) < len(ins.Args) {
 		m.argScratch = make([]val, len(ins.Args))
@@ -204,29 +197,50 @@ func (m *machine) doCall(regs []val, ins *ir.Instr, fs *kremlib.FrameState) erro
 	for i, a := range ins.Args {
 		args[i] = m.value(regs, a)
 	}
-	var argVecs []shadow.Vec
 	if fs != nil {
 		m.rt.Step(fs, ins, 0, -1)
-		argVecs = make([]shadow.Vec, len(ins.Args))
-		for i, a := range ins.Args {
-			if ai, ok := a.(*ir.Instr); ok {
-				argVecs[i] = fs.Regs.Get(ai.ID)
-			}
-		}
 	}
+	ret, err := m.invoke(m.p.index[ins.Callee], ins, args, fs)
+	if err != nil {
+		return err
+	}
+	regs[ins.ID] = ret
+	return nil
+}
+
+// invoke runs the call instruction call to function callee (a Mod.Funcs
+// index) with its arguments gathered in args — the one call path of
+// execExact and execSlow. Under HCPA (fs set; the call's own Step has
+// already run) it follows interp's call protocol: the argument vectors
+// seed the callee frame, the incremental cache may replay the extent
+// (TrySkip) or record it (BeginRecord/EndRecord), and FinishCall merges
+// the return vector. The callee compiles only if it actually runs.
+func (m *machine) invoke(callee int32, call *ir.Instr, args []val, fs *kremlib.FrameState) (val, error) {
+	if fs == nil {
+		ret, _, err := m.call(m.p.Func(callee), args, nil, nil)
+		return ret, err
+	}
+	argVecs := m.vecScratch[:0]
+	for _, a := range call.Args {
+		var v shadow.Vec
+		if ai, ok := a.(*ir.Instr); ok {
+			v = fs.Regs.Get(ai.ID)
+		}
+		argVecs = append(argVecs, v)
+	}
+	m.vecScratch = argVecs
 	var rec *inccache.Recording
 	sess := m.cfg.Cache
-	if sess != nil && fs != nil && sess.Cacheable(ins.Callee) {
-		bits := vmArgBits(ins.Callee, args)
-		if hit, ok := sess.TrySkip(ins.Callee, ins, fs, bits, argVecs, m.steps, m.limit, m.heapTop, m.heapCap); ok {
+	if sess != nil && sess.Cacheable(call.Callee) {
+		bits := m.argBits(call.Callee, args)
+		if hit, ok := sess.TrySkip(call.Callee, call, fs, bits, argVecs, m.steps, m.limit, m.heapTop, m.heapCap); ok {
 			m.steps += hit.Steps
 			if p := m.heapTop + hit.PeakHeap; p > m.heapPeak {
 				m.heapPeak = p
 			}
-			regs[ins.ID] = vmValFromBits(ins.Callee.Ret, hit.RetBits)
-			return nil
+			return vmValFromBits(call.Callee.Ret, hit.RetBits), nil
 		}
-		rec = sess.BeginRecord(ins.Callee, bits, m.steps)
+		rec = sess.BeginRecord(call.Callee, bits, m.steps)
 	}
 	savedPeak := m.heapPeak
 	if rec != nil {
@@ -234,37 +248,37 @@ func (m *machine) doCall(regs []val, ins *ir.Instr, fs *kremlib.FrameState) erro
 		// reproduce heap-cap failures exactly on replay.
 		m.heapPeak = m.heapTop
 	}
-	ret, retVec, err := m.call(m.p.ByFunc[ins.Callee], args, argVecs, fs)
+	ret, retVec, err := m.call(m.p.Func(callee), args, argVecs, fs)
 	if err != nil {
-		return err
+		return val{}, err
 	}
 	if rec != nil {
-		sess.EndRecord(rec, m.steps, vmRetBits(ins.Callee.Ret, ret), retVec, m.heapPeak-m.heapTop)
+		sess.EndRecord(rec, m.steps, vmRetBits(call.Callee.Ret, ret), retVec, m.heapPeak-m.heapTop)
 		if savedPeak > m.heapPeak {
 			m.heapPeak = savedPeak
 		}
 	}
-	regs[ins.ID] = ret
-	if fs != nil {
-		m.rt.FinishCall(fs, ins, retVec)
-	}
-	return nil
+	m.rt.FinishCall(fs, call, retVec)
+	return ret, nil
 }
 
-// vmArgBits canonicalizes scalar call arguments for cache keying,
-// bit-for-bit the reference interpreter's callArgBits.
-func vmArgBits(f *ir.Func, args []val) []uint64 {
-	bits := make([]uint64, len(f.Params))
+// argBits canonicalizes scalar call arguments for cache keying into the
+// machine's reusable buffer, bit-for-bit the reference interpreter's
+// callArgBits.
+func (m *machine) argBits(f *ir.Func, args []val) []uint64 {
+	bits := m.bitScratch[:0]
 	for i, p := range f.Params {
-		if i >= len(args) {
-			break
+		var b uint64
+		if i < len(args) {
+			if p.Typ.Elem == ast.Float {
+				b = math.Float64bits(args[i].f)
+			} else {
+				b = uint64(args[i].i)
+			}
 		}
-		if p.Typ.Elem == ast.Float {
-			bits[i] = math.Float64bits(args[i].f)
-		} else {
-			bits[i] = uint64(args[i].i)
-		}
+		bits = append(bits, b)
 	}
+	m.bitScratch = bits
 	return bits
 }
 

@@ -89,7 +89,7 @@ func isMemOp(op opcode) bool {
 // shadow-register IDs. The krfuzz oracle runs it on every generated
 // program; tests run it on every compiled fixture.
 func Verify(p *Program) error {
-	for _, fc := range p.Funcs {
+	for _, fc := range p.Funcs() {
 		if err := verifyFunc(p, fc); err != nil {
 			return fmt.Errorf("bytecode: func %s: %w", fc.F.Name, err)
 		}
@@ -106,6 +106,9 @@ func verifyFunc(p *Program, fc *FuncCode) error {
 	}
 	if len(fc.Blocks) != len(fc.F.Blocks) {
 		return fmt.Errorf("%d compiled blocks for %d IR blocks", len(fc.Blocks), len(fc.F.Blocks))
+	}
+	if len(fc.Lat) != len(fc.Code) {
+		return fmt.Errorf("%d latencies for %d instructions", len(fc.Lat), len(fc.Code))
 	}
 	for bi := range fc.Blocks {
 		b := &fc.Blocks[bi]
@@ -129,8 +132,12 @@ func verifyFunc(p *Program, fc *FuncCode) error {
 		if e.Target < 0 || int(e.Target) >= len(fc.Blocks) {
 			return fmt.Errorf("edge %d: target %d out of range", ei, e.Target)
 		}
-		if int(e.NPhis) != len(e.Phis) {
-			return fmt.Errorf("edge %d: NPhis %d != %d phis", ei, e.NPhis, len(e.Phis))
+		phis := phisOf(fc.Blocks[e.Target].IR)
+		if int(e.NPhis) != len(phis) {
+			return fmt.Errorf("edge %d: NPhis %d != %d phis at its target", ei, e.NPhis, len(phis))
+		}
+		if err := verifyEdgeTemplate(fc, e, phis); err != nil {
+			return fmt.Errorf("edge %d: %w", ei, err)
 		}
 		for _, mv := range e.Moves {
 			if mv.Dst < 0 || mv.Dst >= fc.ConstBase {
@@ -179,9 +186,6 @@ func verifyBlock(p *Program, fc *FuncCode, b *BBlock) error {
 				return fmt.Errorf("pc %d: exact-only opcode %v in fast block", pc, ins.Op)
 			}
 		}
-		if b.Exact && int(b.End) > len(fc.Lat) {
-			return fmt.Errorf("func %s: exact block [%d,%d) outside latency table (%d)", fc.F.Name, b.Start, b.End, len(fc.Lat))
-		}
 		if b.Term != termNone && b.End > b.Start && !isTermOp(fc.Code[b.End-1].Op) {
 			return fmt.Errorf("terminated block ends in non-terminator %v", fc.Code[b.End-1].Op)
 		}
@@ -214,40 +218,135 @@ func verifyBlock(p *Program, fc *FuncCode, b *BBlock) error {
 			}
 		}
 	}
-	if b.Tpl != nil {
-		if b.NeedsSlow {
-			return fmt.Errorf("NeedsSlow block carries an HCPA template")
+	return verifyBlockTemplate(fc, b)
+}
+
+// verifyBlockTemplate checks a block's HCPA template against its bytecode:
+// every block with bytecode carries one entry per stepped (non-param)
+// instruction, and StepBlock consumes the VM's address buffer entry by
+// entry, so the template must hold one memory entry per load/store opcode
+// — for an exact block, at the very position of each (its template is
+// replayed in runs cut at calls).
+func verifyBlockTemplate(fc *FuncCode, b *BBlock) error {
+	if b.NeedsSlow && !b.Exact {
+		if b.Tpl != nil {
+			return fmt.Errorf("block without bytecode carries an HCPA template")
 		}
-		// StepBlock consumes execFast's address buffer entry by entry, so
-		// the template must hold one memory entry per load/store opcode.
-		var tplMem, codeMem int
-		for pc := b.Start; pc < b.End; pc++ {
-			if isMemOp(fc.Code[pc].Op) {
-				codeMem++
-			}
+		return nil
+	}
+	stepped := 0
+	for _, ins := range b.IR.Instrs[len(phisOf(b.IR)):] {
+		if ins.Op != ir.OpParam {
+			stepped++
 		}
-		for i := range b.Tpl.Ins {
-			ti := &b.Tpl.Ins[i]
-			switch ti.Kind {
-			case kremlib.TplLoad, kremlib.TplLoadReduction:
-				tplMem++
-				if len(ti.Args) != 1 {
-					return fmt.Errorf("template ins %d: load folds %d operands, want its address", i, len(ti.Args))
-				}
-			case kremlib.TplStore:
-				tplMem++
-			}
-			if ti.Res >= fc.ConstBase {
-				return fmt.Errorf("template ins %d: result %d is not a shadow register", i, ti.Res)
-			}
-			for _, a := range ti.Args {
-				if a < 0 || a >= fc.ConstBase {
-					return fmt.Errorf("template ins %d: arg %d is not a shadow register", i, a)
-				}
-			}
+	}
+	if len(b.Tpl) != stepped {
+		return fmt.Errorf("template has %d entries for %d stepped instructions", len(b.Tpl), stepped)
+	}
+	var tplMem, codeMem int
+	for pc := b.Start; pc < b.End; pc++ {
+		if isMemOp(fc.Code[pc].Op) {
+			codeMem++
 		}
-		if tplMem != codeMem {
-			return fmt.Errorf("template has %d memory entries, bytecode %d loads/stores", tplMem, codeMem)
+	}
+	for i := range b.Tpl {
+		ti := &b.Tpl[i]
+		if err := verifyTplIns(fc, ti); err != nil {
+			return fmt.Errorf("template ins %d: %w", i, err)
+		}
+		switch ti.Kind {
+		case kremlib.TplLoad, kremlib.TplLoadReduction:
+			tplMem++
+			if ti.N != 1 {
+				return fmt.Errorf("template ins %d: load folds %d operands, want its address", i, ti.N)
+			}
+		case kremlib.TplStore:
+			tplMem++
+		case kremlib.TplPhiReduction:
+			return fmt.Errorf("template ins %d: phi entry in a block template", i)
+		}
+	}
+	if tplMem != codeMem {
+		return fmt.Errorf("template has %d memory entries, bytecode %d loads/stores", tplMem, codeMem)
+	}
+	if !b.Exact {
+		return nil
+	}
+	// Exact blocks: one instruction per body instruction; params lead as
+	// nops, then pc maps to entry pc-base.
+	if body := len(b.IR.Instrs) - len(phisOf(b.IR)); int(b.End-b.Start) != body {
+		return fmt.Errorf("exact block has %d instructions for a %d-instruction body", b.End-b.Start, body)
+	}
+	base := b.End - int32(len(b.Tpl))
+	for pc := b.Start; pc < b.End; pc++ {
+		op := fc.Code[pc].Op
+		if (op == opNop) != (pc < base) {
+			return fmt.Errorf("pc %d: nops must lead an exact block, one per param", pc)
+		}
+		if pc < base {
+			continue
+		}
+		k := b.Tpl[pc-base].Kind
+		isMem := k == kremlib.TplLoad || k == kremlib.TplLoadReduction || k == kremlib.TplStore
+		if isMem != isMemOp(op) {
+			return fmt.Errorf("pc %d: %v against template entry of kind %d", pc, op, k)
+		}
+		// execExact finds a call's IR instruction by this 1:1 mapping.
+		if irOp := b.IR.Instrs[len(b.IR.Instrs)-int(b.End-pc)].Op; (op == opCall) != (irOp == ir.OpCall) {
+			return fmt.Errorf("pc %d: %v against IR %v", pc, op, irOp)
+		}
+	}
+	return nil
+}
+
+// verifyEdgeTemplate checks an edge template against the phis at its
+// target: one entry per phi, each writing that phi's register and folding
+// at most one operand, with no memory side effect.
+func verifyEdgeTemplate(fc *FuncCode, e *Edge, phis []*ir.Instr) error {
+	if len(e.Tpl) != len(phis) {
+		return fmt.Errorf("template has %d entries for %d phis", len(e.Tpl), len(phis))
+	}
+	for i := range e.Tpl {
+		ti := &e.Tpl[i]
+		if err := verifyTplIns(fc, ti); err != nil {
+			return fmt.Errorf("template ins %d: %w", i, err)
+		}
+		if ti.Res != int32(phis[i].ID) {
+			return fmt.Errorf("template ins %d: result %d is not phi %d", i, ti.Res, phis[i].ID)
+		}
+		if ti.N > 1 {
+			return fmt.Errorf("template ins %d: phi folds %d operands", i, ti.N)
+		}
+		if ti.Kind != kremlib.TplPlain && ti.Kind != kremlib.TplPhiReduction {
+			return fmt.Errorf("template ins %d: phi entry of kind %d", i, ti.Kind)
+		}
+	}
+	return nil
+}
+
+// verifyTplIns checks one template entry's registers, kind, and that its
+// inline operand fields agree with Args.
+func verifyTplIns(fc *FuncCode, ti *kremlib.TplIns) error {
+	if ti.Kind > kremlib.TplPrint {
+		return fmt.Errorf("unknown kind %d", ti.Kind)
+	}
+	if ti.Res >= fc.ConstBase {
+		return fmt.Errorf("result %d is not a shadow register", ti.Res)
+	}
+	switch {
+	case ti.N > 3:
+		return fmt.Errorf("operand count %d", ti.N)
+	case ti.N == 3:
+		if len(ti.Args) < 3 || ti.Args[0] != ti.A || ti.Args[1] != ti.B {
+			return fmt.Errorf("inline operands %d,%d disagree with Args %v", ti.A, ti.B, ti.Args)
+		}
+	case ti.Args != nil:
+		return fmt.Errorf("%d inline operands but Args %v", ti.N, ti.Args)
+	}
+	var buf [2]int32
+	for _, a := range ti.Operands(&buf) {
+		if a < 0 || a >= fc.ConstBase {
+			return fmt.Errorf("arg %d is not a shadow register", a)
 		}
 	}
 	return nil
@@ -304,7 +403,7 @@ func verifyIns(p *Program, fc *FuncCode, ins *Ins) error {
 			return fmt.Errorf("string index %d out of range", ins.A)
 		}
 	case opCall, opAlloc:
-		if ins.Op == opCall && (ins.A < 0 || int(ins.A) >= len(p.Funcs)) {
+		if ins.Op == opCall && (ins.A < 0 || int(ins.A) >= len(p.funcs)) {
 			return fmt.Errorf("callee index %d out of range", ins.A)
 		}
 		if ins.Op == opAlloc && ins.C < 1 {

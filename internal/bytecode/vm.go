@@ -56,25 +56,29 @@ type machine struct {
 	printedAny bool
 
 	// regPool recycles register files across calls; phiScratch is the
-	// parallel-copy buffer for edge phi moves; argScratch carries call
-	// arguments (safe to share across nested calls: the callee copies
-	// them into its registers before executing any instruction). All
-	// three keep the steady-state dispatch loop allocation-free.
+	// parallel-copy buffer for edge phi moves; argScratch, vecScratch and
+	// bitScratch carry a call's arguments, their shadow vectors and their
+	// cache-key bits (safe to share across nested calls: the callee frame
+	// copies the first two before executing any instruction, and the
+	// incremental cache reads the bits before the callee runs). All of them
+	// keep the steady-state dispatch loop allocation-free.
 	regPool    [][]val
 	phiScratch []val
 	argScratch []val
+	vecScratch []shadow.Vec
+	bitScratch []uint64
 
 	// dimArena backs every arr's dimension vector (see arr). Globals'
 	// entries sit at the bottom for the machine's lifetime; runtime
 	// allocations stack above them and are trimmed at call exit.
 	dimArena []int64
 
-	// addrs is execFast's HCPA address buffer: the effective address of
-	// every load and store of the block just run, in execution order, for
-	// StepBlock to consume (see kremlib.BlockTemplate).
+	// addrs is the HCPA address buffer: the effective address of every
+	// load and store executed since the last StepBlock, in execution
+	// order, for the next StepBlock to consume (see package kremlib).
 	addrs []uint64
-	// batchedSteps and slowSteps split HCPA body steps (phis excluded)
-	// between StepBlock replays and execSlow's per-instruction Steps.
+	// batchedSteps and slowSteps split HCPA steps (edge phis included)
+	// between template replays and execSlow's per-instruction Steps.
 	batchedSteps uint64
 	slowSteps    uint64
 }
@@ -119,11 +123,11 @@ func Run(p *Program, cfg interp.Config) (*interp.Result, error) {
 		return nil, err
 	}
 
-	main := p.ByFunc[p.Mod.Main()]
-	if main == nil {
+	main, ok := p.index[p.Mod.Main()]
+	if !ok {
 		return nil, fmt.Errorf("bytecode: no main function")
 	}
-	_, _, err := m.call(main, nil, nil, nil)
+	_, _, err := m.call(p.Func(main), nil, nil, nil)
 	if err != nil {
 		if limits.IsLimit(err) {
 			return m.partialResult(), err
@@ -436,11 +440,13 @@ func (m *machine) putRegs(r []val) {
 
 // call executes fc. The structure mirrors interp's call loop exactly, with
 // per-block batching layered on: block entry handles control-stack
-// maintenance and the incoming edge's phi moves/Steps, then the block body
-// runs on the check-free fast path when its precomputed step count fits
-// the budget, crosses no liveness-poll boundary, and (in HCPA) the block
-// carries a batched template; otherwise it runs the per-instruction
-// reference path.
+// maintenance and the incoming edge's phi moves, then the block body runs
+// on the check-free fast path when its precomputed step count fits the
+// budget and crosses no liveness-poll boundary; otherwise it runs a
+// per-instruction path (execExact for exact blocks, the reference walk
+// for the rest). In HCPA mode a fast block replays the edge's phis and
+// its body in one StepBlock; any other block replays the edge's phis
+// alone first.
 func (m *machine) call(fc *FuncCode, args []val, argVecs []shadow.Vec, callerFS *kremlib.FrameState) (val, shadow.Vec, error) {
 	regs := m.getRegs(fc)
 	watermark := m.heapTop
@@ -479,9 +485,10 @@ func (m *machine) call(fc *FuncCode, args []val, argVecs []shadow.Vec, callerFS 
 			m.rt.AtBlock(fs, b.IR)
 			m.rt.PopSameBranch(fs, b.IR)
 		}
+		var phiTpl kremlib.BlockTemplate
 		if in != nil && in.NPhis > 0 {
 			// Phi values are a parallel copy against the pre-state; the
-			// shadow Steps run afterwards in phi order (they read only
+			// shadow updates replay afterwards in phi order (they read only
 			// shadow registers, so the split is exact). A single move
 			// needs no scratch.
 			moves := in.Moves
@@ -499,11 +506,7 @@ func (m *machine) call(fc *FuncCode, args []val, argVecs []shadow.Vec, callerFS 
 					regs[mv.Dst] = tmp[k]
 				}
 			}
-			if fs != nil {
-				for _, phi := range in.Phis {
-					m.rt.Step(fs, phi, 0, int(in.PredIdx))
-				}
-			}
+			phiTpl = in.Tpl
 			m.steps += uint64(in.NPhis)
 		}
 
@@ -512,8 +515,7 @@ func (m *machine) call(fc *FuncCode, args []val, argVecs []shadow.Vec, callerFS 
 		var returned bool
 		if !b.NeedsSlow &&
 			m.steps+n <= m.limit &&
-			(m.steps+n)>>limits.LiveCheckShift == m.steps>>limits.LiveCheckShift &&
-			(fs == nil || b.Tpl != nil) {
+			(m.steps+n)>>limits.LiveCheckShift == m.steps>>limits.LiveCheckShift {
 			m.steps += n
 			if fs == nil {
 				m.work += b.LatSum
@@ -528,17 +530,24 @@ func (m *machine) call(fc *FuncCode, args []val, argVecs []shadow.Vec, callerFS 
 				retVal = rv
 			}
 			if fs != nil {
-				brVec := m.rt.StepBlock(fs, b.Tpl, m.addrs)
+				brVec := m.rt.StepBlock(fs, phiTpl, b.Tpl, m.addrs)
 				if b.HasPush {
-					m.rt.PushCtrl(fs, b.IR, b.PopAt, brVec)
+					m.rt.PushBlockCtrl(fs, b.IR, b.PopAt, brVec)
 				}
-				m.batchedSteps += n
+				m.batchedSteps += uint64(len(phiTpl)) + n
 			}
 		} else {
+			if fs != nil && len(phiTpl) > 0 {
+				m.rt.StepBlock(fs, phiTpl, nil, nil)
+				m.batchedSteps += uint64(len(phiTpl))
+			}
 			var rv val
 			var err error
-			if b.Exact && fs == nil {
-				edge, rv, returned, err = m.execExact(fc, regs, b)
+			if b.Exact {
+				edge, rv, returned, err = m.execExact(fc, regs, b, fs)
+				if fs != nil && err == nil {
+					m.batchedSteps += n
+				}
 			} else {
 				edge, rv, returned, err = m.execSlow(fc, regs, b, fs)
 			}
@@ -1118,21 +1127,40 @@ func (m *machine) execFast(fc *FuncCode, regs []val, b *BBlock, chain bool) (int
 // increment, budget check, liveness poll, and work accrual in exactly
 // internal/interp's order, so mid-block budget stops, heap-cap failures,
 // and partial results stay bit-identical. It serves NeedsSlow blocks
-// (calls, allocations) in non-HCPA modes, replacing execSlow's
-// interface-heavy IR walk with register-indexed dispatch; HCPA keeps the
-// reference walk because it needs per-IR shadow Steps. m.heap and
-// m.dimArena are deliberately not cached in locals: opCall and opAlloc
-// can grow or reallocate both.
-func (m *machine) execExact(fc *FuncCode, regs []val, b *BBlock) (int32, val, bool, error) {
+// (calls, allocations) in every mode, replacing execSlow's interface-heavy
+// IR walk with register-indexed dispatch. m.heap and m.dimArena are
+// deliberately not cached in locals: opCall and opAlloc can grow or
+// reallocate both.
+//
+// Under HCPA (fs set) it replays the block's template in runs: the
+// entries of the instructions executed so far are pending, with their
+// load/store addresses in m.addrs, and replay before each call (the call's
+// own entry included, so its Step precedes the callee as in interp),
+// before each liveness poll (the shadow-page cap must see every earlier
+// store), before a limit stop (the partial result must include every
+// earlier Step), and at the block's end, where a branch pushes its control
+// entry. Runtime errors return no result, so they replay nothing.
+func (m *machine) execExact(fc *FuncCode, regs []val, b *BBlock, fs *kremlib.FrameState) (int32, val, bool, error) {
 	code := fc.Code
 	lat := fc.Lat
+	// Params lead the block as nops with no template entry, so pc's entry
+	// is tpl[pc-tplBase]; seg is the first pending entry.
+	tpl := b.Tpl
+	tplBase := b.End - int32(len(tpl))
+	seg := int32(0)
+	track := fs != nil
+	if track {
+		m.addrs = m.addrs[:0]
+	}
 	for pc := b.Start; pc < b.End; pc++ {
 		ins := &code[pc]
 		m.steps++
 		if m.steps > m.limit {
+			m.replayExact(fs, tpl, &seg, pc-tplBase)
 			return 0, val{}, false, limits.Budget(m.limit, m.steps)
 		}
 		if m.steps&limits.LiveCheckMask == 0 {
+			m.replayExact(fs, tpl, &seg, pc-tplBase)
 			if err := m.checkLive(); err != nil {
 				return 0, val{}, false, err
 			}
@@ -1211,11 +1239,14 @@ func (m *machine) execExact(fc *FuncCode, regs []val, b *BBlock) (int32, val, bo
 			}
 			regs[ins.Dst].a = arr{base: a.base + uint64(idx*stride), doff: a.doff + 1, rank: a.rank - 1, elem: a.elem}
 		case opLoadI:
+			m.noteAddr(track, regs[ins.A].a.base)
 			regs[ins.Dst].i = int64(m.heap[regs[ins.A].a.base-interp.HeapBase])
 		case opLoadF:
+			m.noteAddr(track, regs[ins.A].a.base)
 			regs[ins.Dst].f = math.Float64frombits(m.heap[regs[ins.A].a.base-interp.HeapBase])
 		case opStore:
 			cell := regs[ins.A].a
+			m.noteAddr(track, cell.base)
 			v := regs[ins.B]
 			var bits uint64
 			if cell.elem == uint8(ast.Float) {
@@ -1225,12 +1256,24 @@ func (m *machine) execExact(fc *FuncCode, regs []val, b *BBlock) (int32, val, bo
 			}
 			m.heap[cell.base-interp.HeapBase] = bits
 		case opCall:
-			if err := m.callOp(fc, regs, ins); err != nil {
+			var call *ir.Instr
+			if track {
+				// Exact bytecode is 1:1 with the block body, the tail of
+				// the IR block.
+				call = b.IR.Instrs[len(b.IR.Instrs)-int(b.End-pc)]
+				m.replayExact(fs, tpl, &seg, pc-tplBase+1)
+			}
+			if err := m.callOp(fc, regs, ins, call, fs); err != nil {
 				return 0, val{}, false, err
+			}
+			if track {
+				// The callee's blocks reused the address buffer.
+				m.addrs = m.addrs[:0]
 			}
 		case opAlloc:
 			v, err := m.allocOp(fc, regs, ins)
 			if err != nil {
+				m.replayExact(fs, tpl, &seg, pc-tplBase)
 				return 0, val{}, false, err
 			}
 			regs[ins.Dst] = v
@@ -1307,15 +1350,27 @@ func (m *machine) execExact(fc *FuncCode, regs []val, b *BBlock) (int32, val, bo
 			}
 			m.printedAny = false
 		case opBr:
+			if track {
+				m.endExact(fs, b, &seg)
+			}
 			if regs[ins.A].i != 0 {
 				return b.Edge0, val{}, false, nil
 			}
 			return b.Edge1, val{}, false, nil
 		case opJump:
+			if track {
+				m.endExact(fs, b, &seg)
+			}
 			return b.Edge0, val{}, false, nil
 		case opRetVal:
+			if track {
+				m.endExact(fs, b, &seg)
+			}
 			return -1, regs[ins.A], true, nil
 		case opRetVoid:
+			if track {
+				m.endExact(fs, b, &seg)
+			}
 			return -1, val{}, true, nil
 		default:
 			// Unreachable for verified code (exact blocks are unfused).
@@ -1323,13 +1378,38 @@ func (m *machine) execExact(fc *FuncCode, regs []val, b *BBlock) (int32, val, bo
 		}
 	}
 	// Dangling block: the function ends (mirrors interp's next == nil).
+	if track {
+		m.endExact(fs, b, &seg)
+	}
 	return -1, val{}, false, nil
 }
 
+// replayExact replays an exact block's pending template entries
+// tpl[*seg:to] and the addresses buffered for them (HCPA only; a no-op
+// when fs is nil or nothing is pending).
+func (m *machine) replayExact(fs *kremlib.FrameState, tpl kremlib.BlockTemplate, seg *int32, to int32) shadow.Vec {
+	if fs == nil || to <= *seg {
+		return nil
+	}
+	out := m.rt.StepBlock(fs, nil, tpl[*seg:to], m.addrs)
+	*seg = to
+	m.addrs = m.addrs[:0]
+	return out
+}
+
+// endExact replays the rest of an exact block's template at its end and
+// pushes the branch's control entry, as the fast path does.
+func (m *machine) endExact(fs *kremlib.FrameState, b *BBlock, seg *int32) {
+	brVec := m.replayExact(fs, b.Tpl, seg, int32(len(b.Tpl)))
+	if b.HasPush {
+		m.rt.PushBlockCtrl(fs, b.IR, b.PopAt, brVec)
+	}
+}
+
 // callOp is execExact's OpCall: argument registers come precompiled in
-// IdxRegs, the callee by function index. The semantics — argument
-// gathering order, result write — mirror doCall with fs == nil.
-func (m *machine) callOp(fc *FuncCode, regs []val, ins *Ins) error {
+// IdxRegs, the callee by function index; call is the IR instruction
+// (consulted under HCPA only).
+func (m *machine) callOp(fc *FuncCode, regs []val, ins *Ins, call *ir.Instr, fs *kremlib.FrameState) error {
 	if cap(m.argScratch) < int(ins.C) {
 		m.argScratch = make([]val, ins.C)
 	}
@@ -1337,7 +1417,7 @@ func (m *machine) callOp(fc *FuncCode, regs []val, ins *Ins) error {
 	for i, r := range fc.IdxRegs[ins.B : ins.B+ins.C] {
 		args[i] = regs[r]
 	}
-	ret, _, err := m.call(m.p.Funcs[ins.A], args, nil, nil)
+	ret, err := m.invoke(ins.A, call, args, fs)
 	if err != nil {
 		return err
 	}

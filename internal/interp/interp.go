@@ -84,10 +84,11 @@ type Result struct {
 	// exhibited a dynamic loop-carried flow dependence. Only populated in
 	// HCPA mode with Options.TraceDeps set.
 	CarriedDeps []int
-	// BatchedSteps and SlowSteps split a completed HCPA run's body steps
-	// (phis excluded) on the bytecode VM: BatchedSteps had their shadow
-	// updates replayed by one StepBlock per block, SlowSteps took one Step
-	// each. Both stay 0 on the tree engine, which always steps singly.
+	// BatchedSteps and SlowSteps split a completed HCPA run's steps (edge
+	// phis included; they sum to Steps) on the bytecode VM: BatchedSteps
+	// had their shadow updates replayed from a template by StepBlock,
+	// SlowSteps took one Step each. Both stay 0 on the tree engine, which
+	// always steps singly.
 	BatchedSteps uint64
 	SlowSteps    uint64
 }

@@ -2,7 +2,8 @@ package kremlib
 
 // StepBlock must be observably identical to issuing Step once per
 // template instruction. These tests drive both on twin runtimes over
-// blocks that load, store and return, and compare every piece of state a
+// blocks that load, store, return, draw random numbers and print, and over
+// the phis of the edges into them, and compare every piece of state a
 // later instruction, region exit or caller can read.
 
 import (
@@ -18,40 +19,6 @@ import (
 	"kremlin/internal/types"
 )
 
-// templateOf builds a block template with the bytecode compiler's rules:
-// constants and BreakArg operands dropped (a load always keeps its
-// address), the side effect carried in Kind.
-func templateOf(body []*ir.Instr) *BlockTemplate {
-	tpl := &BlockTemplate{}
-	for _, ins := range body {
-		ti := TplIns{Res: -1, Lat: ins.Latency()}
-		if ins.HasResult() {
-			ti.Res = int32(ins.ID)
-		}
-		brk := ins.BreakArg
-		switch ins.Op {
-		case ir.OpLoad:
-			brk = -1
-			ti.Kind = TplLoad
-			if ins.Reduction {
-				ti.Kind = TplLoadReduction
-			}
-		case ir.OpStore:
-			ti.Kind = TplStore
-		case ir.OpRet:
-			ti.Kind = TplRet
-		}
-		for i, a := range ins.Args {
-			if ai, ok := a.(*ir.Instr); ok && i != brk {
-				ti.Args = append(ti.Args, int32(ai.ID))
-			}
-		}
-		tpl.TotalLat += ti.Lat
-		tpl.Ins = append(tpl.Ins, ti)
-	}
-	return tpl
-}
-
 // blockIns fabricates one instruction with a fixed value ID.
 func blockIns(id int, op ir.Op, args ...ir.Value) *ir.Instr {
 	ins := &ir.Instr{Op: op, Bin: ir.BinAdd, Typ: types.Scalar(ast.Int), Args: args, BreakArg: -1}
@@ -61,13 +28,20 @@ func blockIns(id int, op ir.Op, args ...ir.Value) *ir.Instr {
 
 // blockCase is one block plus the addresses its loads and stores touch.
 type blockCase struct {
-	name  string
-	opts  Options
-	body  []*ir.Instr
-	addrs []uint64
+	name string
+	opts Options
+	// phis are stepped on entry with predIdx, as the edge into the block.
+	phis    []*ir.Instr
+	predIdx int
+	body    []*ir.Instr
+	addrs   []uint64
 	// outer is stepped before the loop regions are entered, so its vector
 	// is shorter than the window (a loop-invariant operand).
 	outer *ir.Instr
+	// shrink runs the second execution with the body region exited, one
+	// level shallower, so the third execution grows every register it
+	// writes back in place over stale entries.
+	shrink bool
 }
 
 // twinState is everything observable after a block has run.
@@ -75,6 +49,9 @@ type twinState struct {
 	regs    []shadow.Vec
 	mem     map[uint64]shadow.Vec
 	retVec  shadow.Vec
+	ioVec   shadow.Vec
+	randVec shadow.Vec
+	ctrl    shadow.Vec
 	maxTime []uint64
 	work    uint64
 	last    shadow.Vec
@@ -82,10 +59,15 @@ type twinState struct {
 	dict    []profile.Entry
 }
 
-// runTwin executes c's block three times inside a func → loop → body
-// region nest — iterating the body between executions so loads observe
-// earlier iterations' stores — either as per-instruction Steps or as
-// StepBlock calls, and snapshots the runtime.
+// runTwin executes c's edge and block three times inside a func → loop →
+// body region nest — iterating the body between executions so loads
+// observe earlier iterations' stores and phis earlier iterations' values —
+// either as per-instruction Steps or as template replays, and snapshots
+// the runtime. A Br-ended block pushes its control entry (PushCtrl after
+// Steps, PushBlockCtrl after a replay), popped again on re-entry as the VM
+// does. The batched run replays the edge fused with the body, except in
+// the second execution, which replays the edge alone and then the body in
+// two runs, as the VM does for exact blocks.
 func runTwin(t *testing.T, c blockCase, batched bool) twinState {
 	t.Helper()
 	prof := profile.New()
@@ -105,16 +87,27 @@ func runTwin(t *testing.T, c blockCase, batched bool) twinState {
 	branch, join := f.NewBlock("hdr"), f.NewBlock("join")
 	cond := blockIns(200, ir.OpBin, c.outer, &ir.ConstInt{V: 1})
 	rt.PushCtrl(fs, branch, join, rt.Step(fs, cond, 0, -1))
+	self := f.NewBlock("self")
+	pushes := len(c.body) > 0 && c.body[len(c.body)-1].Op == ir.OpBr
 
-	tpl := templateOf(c.body)
+	edge := EdgeTemplateOf(c.phis, c.predIdx)
+	tpl := BlockTemplateOf(c.body)
 	var last shadow.Vec
 	for iter := 0; iter < 3; iter++ {
-		if iter > 0 {
+		switch {
+		case iter > 0 && c.shrink && iter == 1:
+			rt.ExitRegion()
+		case iter > 0 && c.shrink:
+			rt.EnterRegion(body)
+		case iter > 0:
 			rt.IterateRegion(body)
 		}
-		if batched {
-			last = rt.StepBlock(fs, tpl, c.addrs)
-		} else {
+		rt.PopSameBranch(fs, self)
+		switch {
+		case !batched:
+			for _, phi := range c.phis {
+				last = rt.Step(fs, phi, 0, c.predIdx)
+			}
 			k := 0
 			for _, ins := range c.body {
 				var addr uint64
@@ -124,12 +117,43 @@ func runTwin(t *testing.T, c blockCase, batched bool) twinState {
 				}
 				last = rt.Step(fs, ins, addr, -1)
 			}
+			if pushes {
+				rt.PushCtrl(fs, self, join, last)
+			}
+		case iter == 1:
+			if len(edge) > 0 {
+				last = rt.StepBlock(fs, edge, nil, nil)
+			}
+			half := len(tpl) / 2
+			mem := 0
+			for _, ti := range tpl[:half] {
+				if ti.Kind == TplLoad || ti.Kind == TplLoadReduction || ti.Kind == TplStore {
+					mem++
+				}
+			}
+			if half > 0 {
+				last = rt.StepBlock(fs, nil, tpl[:half], c.addrs[:mem])
+			}
+			if len(tpl) > half {
+				last = rt.StepBlock(fs, nil, tpl[half:], c.addrs[mem:])
+			}
+			if pushes {
+				rt.PushBlockCtrl(fs, self, join, last)
+			}
+		default:
+			last = rt.StepBlock(fs, edge, tpl, c.addrs)
+			if pushes {
+				rt.PushBlockCtrl(fs, self, join, last)
+			}
 		}
 	}
 
 	st := twinState{
 		mem:     map[uint64]shadow.Vec{},
 		retVec:  append(shadow.Vec(nil), fs.RetVec...),
+		ioVec:   append(shadow.Vec(nil), rt.ioVec...),
+		randVec: append(shadow.Vec(nil), rt.randVec...),
+		ctrl:    append(shadow.Vec(nil), fs.ctrlVec()...),
 		work:    rt.TotalWork(),
 		last:    append(shadow.Vec(nil), last...),
 		carried: rt.CarriedDeps(),
@@ -141,7 +165,7 @@ func runTwin(t *testing.T, c blockCase, batched bool) twinState {
 		st.mem[a] = rt.Mem().ReadVec(a)
 	}
 	for l := 0; l < rt.level(); l++ {
-		st.maxTime = append(st.maxTime, rt.stack[l].maxTime)
+		st.maxTime = append(st.maxTime, rt.maxTime[l])
 	}
 	rt.Unwind(0)
 	st.dict = prof.Dict.Entries
@@ -191,11 +215,78 @@ func TestStepBlockMatchesStep(t *testing.T) {
 		return []*ir.Instr{g, n, a2, a3, ld, ret}
 	}
 
+	// The phis of the edge into a block. Each names a value the block
+	// itself computes, so every execution after the first reads the
+	// previous iteration's vector.
+	phi := func(id int, arg ir.Value) *ir.Instr {
+		p := blockIns(id, ir.OpPhi, &ir.ConstInt{V: 0}, arg)
+		return p
+	}
+	// x = phi(x): a value carried unchanged round the back edge.
+	selfPhi := func() ([]*ir.Instr, []*ir.Instr) {
+		x := phi(30, nil)
+		x.Args[1] = x
+		y := blockIns(31, ir.OpBin, x, outer)
+		return []*ir.Instr{x}, []*ir.Instr{y, blockIns(32, ir.OpBr, y)}
+	}
+	// p = phi(next); q = phi(p) reads the phi stepped just before it.
+	chainPhi := func() ([]*ir.Instr, []*ir.Instr) {
+		next := blockIns(42, ir.OpBin, outer, outer)
+		p := phi(40, next)
+		q := phi(41, p)
+		sum := blockIns(43, ir.OpBin, q, outer)
+		next.Args[1] = sum
+		return []*ir.Instr{p, q}, []*ir.Instr{sum, next, blockIns(44, ir.OpRet, next)}
+	}
+	// i = phi(i+1) as an induction phi, r = phi(r+y) as a reduction phi,
+	// or both plain.
+	carriedPhis := func(marked bool) ([]*ir.Instr, []*ir.Instr) {
+		inc := blockIns(52, ir.OpBin, nil, &ir.ConstInt{V: 1})
+		i := phi(50, inc)
+		i.Induction = marked
+		inc.Args[0] = i
+		y := blockIns(53, ir.OpBin, outer, &ir.ConstInt{V: 5})
+		acc := blockIns(54, ir.OpBin, nil, y)
+		r := phi(51, acc)
+		r.Reduction = marked
+		acc.Args[0] = r
+		if marked {
+			acc.BreakArg = 0
+			acc.Reduction = true
+		}
+		return []*ir.Instr{i, r}, []*ir.Instr{inc, y, acc, blockIns(55, ir.OpBr, acc)}
+	}
+	// A phi whose operand is a constant, and one whose block is entered
+	// from no known predecessor (predIdx -1 folds no operand).
+	constPhi := func() ([]*ir.Instr, []*ir.Instr) {
+		k := blockIns(60, ir.OpPhi, &ir.ConstInt{V: 0}, &ir.ConstInt{V: 7})
+		u := blockIns(61, ir.OpBin, k, outer)
+		return []*ir.Instr{k}, []*ir.Instr{u, blockIns(62, ir.OpRet, u)}
+	}
+	// rand, srand and print entries chain through the RNG and IO vectors.
+	randPrint := func() []*ir.Instr {
+		builtin := func(id int, name string, args ...ir.Value) *ir.Instr {
+			b := blockIns(id, ir.OpBuiltin, args...)
+			b.Builtin = name
+			return b
+		}
+		r := builtin(70, "rand")
+		v := blockIns(71, ir.OpBin, r, outer)
+		return []*ir.Instr{r, v, builtin(72, "printval", v), builtin(73, "srand", v),
+			builtin(74, "frand"), builtin(75, "printstr"), builtin(76, "printnl"),
+			blockIns(77, ir.OpBr, v)}
+	}
+
 	var cases []blockCase
 	for _, window := range []int{0, 1, 2} {
 		for _, trace := range []bool{false, true} {
 			opts := Options{MinDepth: window, TraceDeps: trace}
 			tag := fmt.Sprintf("min%d-trace%v", window, trace)
+			edgeCase := func(name string, mk func() ([]*ir.Instr, []*ir.Instr), predIdx int, shrink bool) blockCase {
+				phis, body := mk()
+				return blockCase{name: name + "/" + tag, opts: opts, outer: outer,
+					phis: phis, predIdx: predIdx, body: body, shrink: shrink}
+			}
 			cases = append(cases,
 				blockCase{name: "store-load-same-cell/" + tag, opts: opts, outer: outer,
 					body: storeLoad(), addrs: []uint64{0x100, 0x100, 0x100}},
@@ -205,6 +296,13 @@ func TestStepBlockMatchesStep(t *testing.T) {
 					body: reduction(false), addrs: []uint64{0x300, 0x300}},
 				blockCase{name: "arity/" + tag, opts: opts, outer: outer,
 					body: arity(), addrs: []uint64{0x5000}},
+				edgeCase("phi-self-growing-window", selfPhi, 1, true),
+				edgeCase("phi-reads-earlier-phi", chainPhi, 1, false),
+				edgeCase("phi-induction-reduction", func() ([]*ir.Instr, []*ir.Instr) { return carriedPhis(true) }, 1, false),
+				edgeCase("phi-carried", func() ([]*ir.Instr, []*ir.Instr) { return carriedPhis(false) }, 1, false),
+				edgeCase("phi-pred-none", chainPhi, -1, false),
+				edgeCase("phi-constant", constPhi, 1, false),
+				blockCase{name: "rand-print/" + tag, opts: opts, outer: outer, body: randPrint()},
 			)
 		}
 	}
@@ -226,5 +324,13 @@ func TestStepBlockMatchesStep(t *testing.T) {
 	}
 	if c := runTwin(t, blockCase{opts: trace, outer: outer, body: reduction(true), addrs: []uint64{0x200, 0x200}}, true).carried; len(c) != 0 {
 		t.Errorf("reduction load: CarriedDeps = %v, want none", c)
+	}
+	phis, body := carriedPhis(false)
+	if c := runTwin(t, blockCase{opts: trace, outer: outer, phis: phis, predIdx: 1, body: body}, true).carried; len(c) != 1 || c[0] != 1 {
+		t.Errorf("carried phis: CarriedDeps = %v, want [1]", c)
+	}
+	phis, body = carriedPhis(true)
+	if c := runTwin(t, blockCase{opts: trace, outer: outer, phis: phis, predIdx: 1, body: body}, true).carried; len(c) != 0 {
+		t.Errorf("induction and reduction phis: CarriedDeps = %v, want none", c)
 	}
 }

@@ -46,7 +46,6 @@ type active struct {
 	region    *regions.Region
 	instance  uint64
 	entryWork uint64
-	maxTime   uint64
 	// children is the run-length-encoded child sequence in execution
 	// order: consecutive identical child summaries extend the last run.
 	// The order is load-bearing — the depth-window stitcher aligns shard
@@ -60,6 +59,9 @@ type Runtime struct {
 	mem   *shadow.Memory
 	prof  *profile.Profile
 	stack []active
+	// maxTime is the per-level critical path of the open regions, dense and
+	// parallel to stack, so the replay kernels raise it in place.
+	maxTime []uint64
 
 	totalWork    uint64
 	nextInstance uint64
@@ -73,10 +75,8 @@ type Runtime struct {
 
 	scratch shadow.Vec
 	// blockBase is StepBlock's resolved-once control baseline (a second
-	// scratch vector, so the per-instruction scratch stays untouched);
-	// blockPeak is its block-local critical-path watermark.
+	// scratch vector, so the per-instruction scratch stays untouched).
 	blockBase shadow.Vec
-	blockPeak []uint64
 	tags      []uint64
 
 	// vecPool recycles control-dependence vectors (popped by AtBlock /
@@ -169,23 +169,33 @@ func (rt *Runtime) EnterRegion(r *regions.Region) {
 	if d := len(rt.stack) + 1; d > rt.maxDepth {
 		rt.maxDepth = d
 	}
+	// Reuse the child-run storage of the instance that last held this
+	// stack slot: ExitRegion's InternRuns copies whatever it keeps.
+	var kids []profile.Child
+	if n := len(rt.stack); n < cap(rt.stack) {
+		kids = rt.stack[:n+1][n].children[:0]
+	}
 	rt.stack = append(rt.stack, active{
 		region:    r,
 		instance:  rt.nextInstance,
 		entryWork: rt.totalWork,
+		children:  kids,
 	})
+	rt.maxTime = append(rt.maxTime, 0)
 	rt.syncTags()
 }
 
 // ExitRegion pops the current region, interning its summary. It returns the
 // region's dictionary character.
 func (rt *Runtime) ExitRegion() int32 {
-	top := rt.stack[len(rt.stack)-1]
-	rt.stack = rt.stack[:len(rt.stack)-1]
+	n := len(rt.stack) - 1
+	top := rt.stack[n]
+	cp := rt.maxTime[n]
+	rt.stack = rt.stack[:n]
+	rt.maxTime = rt.maxTime[:n]
 	rt.syncTags()
 
 	work := rt.totalWork - top.entryWork
-	cp := top.maxTime
 	if cp == 0 {
 		// Region outside the tracked depth window, or empty: fall back to
 		// the serial assumption.
@@ -226,14 +236,20 @@ func (rt *Runtime) Unwind(target int) {
 	}
 }
 
+// syncTags brings the tracked levels' tags in line with the region stack
+// after one push or pop. Entries below the old length still hold their
+// instances (a region event only changes the top), so only new levels are
+// written.
 func (rt *Runtime) syncTags() {
 	d := rt.level()
+	n := len(rt.tags)
 	if cap(rt.tags) < d {
-		rt.tags = make([]uint64, d, d+16)
-	} else {
-		rt.tags = rt.tags[:d]
+		tags := make([]uint64, d, d+16)
+		copy(tags, rt.tags)
+		rt.tags = tags
 	}
-	for i := 0; i < d; i++ {
+	rt.tags = rt.tags[:d]
+	for i := n; i < d; i++ {
 		rt.tags[i] = rt.stack[i].instance
 	}
 	if cap(rt.scratch) < d {
@@ -374,6 +390,27 @@ func (rt *Runtime) PushCtrl(fs *FrameState, branch, popAt *ir.Block, brVec shado
 	fs.ctrl = append(fs.ctrl, ctrlEntry{branch: branch, popAt: popAt, vec: vec})
 }
 
+// PushBlockCtrl is PushCtrl for a branch whose vector brVec is the return
+// of the StepBlock that just replayed the branch's block, with the frame's
+// control stack unchanged since. Every replayed instruction starts from
+// the control baseline, so at tracked levels brVec already dominates the
+// control time and is copied as the entry; below the window the control
+// time carries over. The result is PushCtrl's, without its per-level
+// tag compares.
+func (rt *Runtime) PushBlockCtrl(fs *FrameState, branch, popAt *ir.Block, brVec shadow.Vec) {
+	rt.PopSameBranch(fs, branch)
+	d := rt.level()
+	lo := rt.lowLevel()
+	vec := rt.getVec(d)
+	cv := fs.ctrlVec()
+	tags := rt.tags
+	for l := 0; l < lo; l++ {
+		vec[l] = shadow.Entry{Time: cv.Read(l, tags[l]), Tag: tags[l]}
+	}
+	copy(vec[lo:d], brVec[lo:d])
+	fs.ctrl = append(fs.ctrl, ctrlEntry{branch: branch, popAt: popAt, vec: vec})
+}
+
 // PopSameBranch removes the top control entry if it was pushed by the same
 // branch block; call before re-executing a branch so neither the branch's
 // own availability nor its new entry chains on its previous execution.
@@ -498,10 +535,11 @@ func (rt *Runtime) Step(fs *FrameState, ins *ir.Instr, addr uint64, predIdx int)
 		rt.traceIns(fs, ins, addr, predIdx)
 	}
 
+	maxTime := rt.maxTime
 	for l := lo; l < d; l++ {
 		out[l].Time += lat
-		if out[l].Time > rt.stack[l].maxTime {
-			rt.stack[l].maxTime = out[l].Time
+		if out[l].Time > maxTime[l] {
+			maxTime[l] = out[l].Time
 		}
 	}
 
@@ -663,24 +701,24 @@ func (rt *Runtime) ApplySkippedCall(fs *FrameState, call *ir.Instr, work, retDel
 		}
 		for l := lo; l < d; l++ {
 			ct := cv.Read(l, tags[l])
-			if m := ct + maxDelta; m > rt.stack[l].maxTime {
-				rt.stack[l].maxTime = m
+			if m := ct + maxDelta; m > rt.maxTime[l] {
+				rt.maxTime[l] = m
 			}
 			t := cur.Read(l, tags[l])
 			if rv := ct + retDelta; rv > t {
 				t = rv
 			}
 			out[l] = shadow.Entry{Time: t, Tag: tags[l]}
-			if t > rt.stack[l].maxTime {
-				rt.stack[l].maxTime = t
+			if t > rt.maxTime[l] {
+				rt.maxTime[l] = t
 			}
 		}
 		fs.Regs.Set(call.ID, out, d)
 	} else {
 		for l := lo; l < d; l++ {
 			ct := cv.Read(l, tags[l])
-			if m := ct + maxDelta; m > rt.stack[l].maxTime {
-				rt.stack[l].maxTime = m
+			if m := ct + maxDelta; m > rt.maxTime[l] {
+				rt.maxTime[l] = m
 			}
 		}
 	}
@@ -712,8 +750,8 @@ func (rt *Runtime) FinishCall(fs *FrameState, call *ir.Instr, ret shadow.Vec) {
 			t = rv
 		}
 		out[l] = shadow.Entry{Time: t, Tag: rt.tags[l]}
-		if t > rt.stack[l].maxTime {
-			rt.stack[l].maxTime = t
+		if t > rt.maxTime[l] {
+			rt.maxTime[l] = t
 		}
 	}
 	fs.Regs.Set(call.ID, out, d)

@@ -92,3 +92,43 @@ func BenchmarkStepDeepWindow(b *testing.B) {
 		rt.Step(fs, ins, 0, -1)
 	}
 }
+
+// BenchmarkStepBlockLoop measures one replay of a loop body as the VM
+// issues it: the back edge's phis (an induction counter and a carried
+// value) fused with a body that loads, computes, stores and branches,
+// then the branch's control push, six levels deep.
+func BenchmarkStepBlockLoop(b *testing.B) {
+	rt, fs, f := benchRuntime(6)
+	mk := func(id int, op ir.Op, args ...ir.Value) *ir.Instr {
+		ins := &ir.Instr{Op: op, Bin: ir.BinAdd, Typ: types.Scalar(ast.Int), Args: args, BreakArg: -1}
+		ins.ID = id
+		return ins
+	}
+	base := mk(1, ir.OpBin, &ir.ConstInt{V: 1}, &ir.ConstInt{V: 2})
+	rt.Step(fs, base, 0, -1)
+	next := mk(12, ir.OpBin, nil, &ir.ConstInt{V: 1})
+	i := mk(2, ir.OpPhi, &ir.ConstInt{V: 0}, next)
+	i.Induction = true
+	next.Args[0] = i
+	sum := mk(9, ir.OpBin, nil, nil)
+	acc := mk(3, ir.OpPhi, &ir.ConstInt{V: 0}, sum)
+	addr := mk(4, ir.OpBin, base, i)
+	ld := mk(5, ir.OpLoad, addr)
+	prod := mk(6, ir.OpBin, ld, acc)
+	prod.Bin = ir.BinMul
+	sum.Args = []ir.Value{prod, i}
+	st := mk(10, ir.OpStore, addr, sum)
+	cmp := mk(11, ir.OpBin, next, base)
+	br := mk(13, ir.OpBr, cmp)
+	edge := EdgeTemplateOf([]*ir.Instr{i, acc}, 1)
+	body := BlockTemplateOf([]*ir.Instr{addr, ld, prod, sum, st, next, cmp, br})
+	branch, popAt := f.NewBlock("hdr"), f.NewBlock("exit")
+	addrs := []uint64{0x1000, 0x1000}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		rt.PopSameBranch(fs, branch)
+		brVec := rt.StepBlock(fs, edge, body, addrs)
+		rt.PushBlockCtrl(fs, branch, popAt, brVec)
+	}
+}

@@ -111,9 +111,17 @@ func ParseEngine(s string) (Engine, error) {
 	return 0, fmt.Errorf("unknown engine %q (want vm or tree)", s)
 }
 
-// Bytecode returns the program's compiled bytecode, lowering the module on
-// first use (cached; safe for concurrent callers).
+// Bytecode returns the program's bytecode with every function compiled
+// (cached; safe for concurrent callers).
 func (p *Program) Bytecode() *bytecode.Program {
+	p.code().Funcs()
+	return p.bc
+}
+
+// code returns the program's bytecode, whose functions compile on their
+// first call: the runs use it, so a run that replays most calls from the
+// incremental cache compiles only the functions it executes.
+func (p *Program) code() *bytecode.Program {
 	p.bcOnce.Do(func() {
 		facts := p.Absint
 		if p.absintOff {
@@ -257,7 +265,7 @@ func (p *Program) execute(cfg *RunConfig, mode interp.Mode) (*interp.Result, err
 	if cfg != nil && cfg.Engine == EngineTree {
 		return interp.Run(p.Module, ic)
 	}
-	return bytecode.Run(p.Bytecode(), ic)
+	return bytecode.Run(p.code(), ic)
 }
 
 // Run executes the program uninstrumented.
@@ -283,7 +291,7 @@ func (p *Program) Profile(cfg *RunConfig) (*profile.Profile, *interp.Result, err
 	if cfg != nil && cfg.Engine == EngineTree {
 		res, err = interp.Run(p.Module, ic)
 	} else {
-		res, err = bytecode.Run(p.Bytecode(), ic)
+		res, err = bytecode.Run(p.code(), ic)
 	}
 	if sess != nil && cfg.CacheStats != nil {
 		*cfg.CacheStats = sess.Stats()
@@ -340,7 +348,7 @@ func (p *Program) ProfileSharded(cfg *RunConfig, shards int) (*profile.Profile, 
 		pc.MaxHeapWords = cfg.MaxHeapWords
 	}
 	if cfg == nil || cfg.Engine != EngineTree {
-		pc.Code = p.Bytecode()
+		pc.Code = p.code()
 	}
 	res, err := parallel.Run(p.Module, p.Regions, p.Instr, pc)
 	if err != nil {

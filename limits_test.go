@@ -41,6 +41,38 @@ int main() {
 }
 `
 
+// callProg spends its steps in a loop body that calls, loads and stores in
+// one block — an exact block, whose HCPA template the VM replays in runs
+// cut at each call — and stores across many shadow pages, so budget stops
+// and shadow-cap polls land inside exact blocks.
+const callProg = `
+int g[200000];
+int f(int x) {
+	return x * 3 + 1;
+}
+int main() {
+	int acc = 0;
+	for (int i = 0; i < 40000; i++) {
+		g[(i * 4099) % 200000] = f(i) + acc;
+		acc = acc + g[(i * 7) % 200000] + f(acc % 13);
+	}
+	return acc % 1000;
+}
+`
+
+// allocProg computes an array size and allocates it in one block, so a
+// heap-cap stop at the allocation lands inside an exact block with
+// earlier work pending.
+const allocProg = `
+int g = 7;
+int main() {
+	int n = g * g + 3;
+	int a[n * 1000];
+	a[0] = n;
+	return a[0];
+}
+`
+
 func compileT(t *testing.T, src string) *kremlin.Program {
 	t.Helper()
 	prog, err := kremlin.Compile("limits_test.kr", src)
@@ -216,13 +248,17 @@ func TestEnginePrefixParity(t *testing.T) {
 }
 
 // TestEngineHCPAPrefixParity extends TestEnginePrefixParity's contract to
-// HCPA runs, whose batched blocks replay their shadow updates (StepBlock)
-// between liveness polls. The same budgets must cut the profiled run at the
-// same step with the same work on both engines — on longProg and on
-// arrayProg, whose loop bodies load and store on the batched path. The
-// shadow-page cap is polled only at liveness boundaries, and no batched
-// block spans one, so both engines see the same page count at every poll:
-// the error text (page count and step) and the partial counters must match.
+// HCPA runs, whose blocks replay their shadow updates (StepBlock) between
+// liveness polls. The same budgets must cut the profiled run at the same
+// step with the same work on both engines — on longProg, on arrayProg,
+// whose loop bodies load and store on the batched path, and on callProg,
+// whose exact loop body is cut at every position by a run of consecutive
+// budgets, and a heap-cap stop at an allocation must carry the same
+// partial counters. The shadow-page cap is polled only at liveness boundaries; no
+// fast block spans one, and an exact block replays its pending updates
+// before each poll, so both engines see the same page count at every
+// poll: the error text (page count and step) and the partial counters must
+// match.
 func TestEngineHCPAPrefixParity(t *testing.T) {
 	budgets := []uint64{
 		50_000,
@@ -231,9 +267,17 @@ func TestEngineHCPAPrefixParity(t *testing.T) {
 		limits.LiveCheckInterval + 1,
 		3 * limits.LiveCheckInterval,
 	}
-	for _, src := range []string{longProg, arrayProg} {
+	exactBudgets := append([]uint64(nil), budgets...)
+	for b := uint64(50_000); b < 50_030; b++ {
+		exactBudgets = append(exactBudgets, b)
+	}
+	for _, src := range []string{longProg, arrayProg, callProg} {
 		p := compileT(t, src)
-		for _, b := range budgets {
+		bs := budgets
+		if src == callProg {
+			bs = exactBudgets
+		}
+		for _, b := range bs {
 			vres, tres, verr, terr := hcpaBothEngines(p, interp.Config{MaxSteps: b})
 			if !errors.Is(verr, limits.ErrBudgetExceeded) || !errors.Is(terr, limits.ErrBudgetExceeded) {
 				t.Fatalf("budget %d: vm err %v, tree err %v", b, verr, terr)
@@ -247,18 +291,34 @@ func TestEngineHCPAPrefixParity(t *testing.T) {
 		}
 	}
 
-	hungry := compileT(t, hungryProg)
-	for _, pages := range []int{1, 4, 16} {
-		vres, tres, verr, terr := hcpaBothEngines(hungry, interp.Config{Opts: kremlib.Options{MaxShadowPages: pages}})
-		if !errors.Is(verr, limits.ErrMemCap) || !errors.Is(terr, limits.ErrMemCap) {
-			t.Fatalf("shadow cap %d: vm err %v, tree err %v", pages, verr, terr)
+	for _, src := range []string{hungryProg, callProg} {
+		for _, pages := range []int{1, 4, 16} {
+			shadowCapParity(t, compileT(t, src), pages)
 		}
-		if verr.Error() != terr.Error() {
-			t.Errorf("shadow cap %d: error text diverged:\nvm:   %v\ntree: %v", pages, verr, terr)
-		}
-		if partialCounters(vres) != partialCounters(tres) {
-			t.Errorf("shadow cap %d: partial counters diverged: vm %v, tree %v", pages, partialCounters(vres), partialCounters(tres))
-		}
+	}
+
+	vres, tres, verr, terr := hcpaBothEngines(compileT(t, allocProg), interp.Config{MaxHeapWords: 1000})
+	if !errors.Is(verr, limits.ErrMemCap) || !errors.Is(terr, limits.ErrMemCap) {
+		t.Fatalf("heap cap: vm err %v, tree err %v", verr, terr)
+	}
+	if verr.Error() != terr.Error() || partialCounters(vres) != partialCounters(tres) {
+		t.Errorf("heap cap: stops diverged: vm %v %v, tree %v %v", verr, partialCounters(vres), terr, partialCounters(tres))
+	}
+}
+
+// shadowCapParity profiles p under a shadow-page cap on both engines and
+// compares the stops.
+func shadowCapParity(t *testing.T, p *kremlin.Program, pages int) {
+	t.Helper()
+	vres, tres, verr, terr := hcpaBothEngines(p, interp.Config{Opts: kremlib.Options{MaxShadowPages: pages}})
+	if !errors.Is(verr, limits.ErrMemCap) || !errors.Is(terr, limits.ErrMemCap) {
+		t.Fatalf("shadow cap %d: vm err %v, tree err %v", pages, verr, terr)
+	}
+	if verr.Error() != terr.Error() {
+		t.Errorf("shadow cap %d: error text diverged:\nvm:   %v\ntree: %v", pages, verr, terr)
+	}
+	if partialCounters(vres) != partialCounters(tres) {
+		t.Errorf("shadow cap %d: partial counters diverged: vm %v, tree %v", pages, partialCounters(vres), partialCounters(tres))
 	}
 }
 

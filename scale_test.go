@@ -33,7 +33,11 @@ func scaleRun(t *testing.T, src string, st *inccache.Store) ([]byte, uint64, inc
 	}
 	var stats inccache.Stats
 	var out bytes.Buffer
-	start := processCPU()
+	// A profile run starts no goroutines, so with the goroutine locked to
+	// its thread the thread's CPU time covers all of the run's own work.
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
+	start := threadCPU()
 	prof, res, err := p.Profile(&kremlin.RunConfig{
 		Out:            &out,
 		Cache:          st,
@@ -41,7 +45,7 @@ func scaleRun(t *testing.T, src string, st *inccache.Store) ([]byte, uint64, inc
 		MaxShadowPages: 1 << 14,
 		MaxHeapWords:   1 << 22,
 	})
-	elapsed := processCPU() - start
+	elapsed := threadCPU() - start
 	if err != nil {
 		t.Fatalf("profile: %v", err)
 	}
@@ -67,9 +71,11 @@ func TestScaleStressIncremental(t *testing.T) {
 	}
 
 	// Cold run under the memory budget populates the cache.
-	// Both runs are timed as process CPU time (getrusage): on a shared
-	// host, wall time also counts the stretches the vCPU is taken away,
-	// which swung the cold run by more than the 5x margin.
+	// Both runs are timed as the CPU time of the thread that runs them
+	// (getrusage RUSAGE_THREAD on Linux): on a shared host, wall time also
+	// counts the stretches the vCPU is taken away, and process CPU time
+	// counts Go's idle-priority GC workers, which run only while a core is
+	// idle; either swung the cold run by more than the 5x margin.
 	_, _, coldStats, coldCPU := scaleRun(t, base, st)
 	if coldStats.Recorded < uint64(cfg.Funcs)*9/10 {
 		t.Fatalf("cold run recorded %d extents, want ~%d", coldStats.Recorded, cfg.Funcs)
