@@ -175,6 +175,9 @@ func main() {
 		if f, err := os.Open(*out); err == nil {
 			old, rerr := profile.ReadFrom(f)
 			f.Close()
+			if rerr == nil {
+				rerr = prog.CheckProfile(old)
+			}
 			if rerr != nil {
 				fmt.Fprintf(os.Stderr, "kremlin-run: existing profile %s: %v\n", *out, rerr)
 				os.Exit(1)

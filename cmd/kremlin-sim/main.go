@@ -50,6 +50,9 @@ func main() {
 		}
 		prof, err = profile.ReadFrom(f)
 		f.Close()
+		if err == nil {
+			err = prog.CheckProfile(prof)
+		}
 		if err != nil {
 			fatal(err)
 		}

@@ -42,31 +42,3 @@ func TestAllBenchmarksCompileAndProfile(t *testing.T) {
 		})
 	}
 }
-
-// TestHCPABatchedCoverage pins how much of an HCPA run the bytecode VM
-// batches: in every benchmark at least 99% of the steps (edge phis
-// included) must replay from a template — fast blocks through one
-// StepBlock, exact (call and allocation) blocks in runs cut at each call —
-// rather than one Step per instruction. Only blocks without bytecode and
-// blocks that sit at a budget or liveness-poll edge take per-instruction
-// Steps.
-func TestHCPABatchedCoverage(t *testing.T) {
-	for _, b := range All() {
-		c, err := Load(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, res, err := c.Program.Profile(nil)
-		if err != nil {
-			t.Fatalf("%s: %v", b.Name, err)
-		}
-		frac := float64(res.BatchedSteps) / float64(res.BatchedSteps+res.SlowSteps)
-		t.Logf("%s: %.2f%% of %d steps batched", b.Name, 100*frac, res.BatchedSteps+res.SlowSteps)
-		if total := res.BatchedSteps + res.SlowSteps; total != res.Steps {
-			t.Errorf("%s: batched+slow steps %d, want the run's %d", b.Name, total, res.Steps)
-		}
-		if frac < 0.99 {
-			t.Errorf("%s: %.2f%% of HCPA steps batched, want >= 99%%", b.Name, 100*frac)
-		}
-	}
-}

@@ -15,26 +15,28 @@
 //   - Instruction budget and liveness polling are enforced per basic
 //     block: a block with n instructions runs check-free when steps+n
 //     stays under the budget and does not cross a poll boundary
-//     (limits.LiveCheckInterval); otherwise the block falls back to the
-//     exact per-instruction reference path.
-//   - HCPA bookkeeping is batched per block: every block with bytecode
-//     carries a precompiled kremlib.BlockTemplate, and every edge into a
-//     block with phis an edge template. A fast block issues one StepBlock
-//     for the incoming edge's phis and its body together, instead of one
-//     Step per instruction. Loads and stores batch too: the VM records
-//     each load/store address in a per-machine buffer, in block order, and
-//     StepBlock replays the shadow-memory reads and writes from it. An
-//     exact block (calls, allocations) replays its template in runs cut at
-//     each call. Region boundaries fall on CFG edges, never inside a block.
+//     (limits.LiveCheckInterval); otherwise it runs its exact copy.
+//   - HCPA bookkeeping is batched per block: every block carries a
+//     precompiled kremlib.BlockTemplate, and every edge into a block with
+//     phis an edge template. A fused block issues one StepBlock for the
+//     incoming edge's phis and its body together, instead of one Step per
+//     instruction. Loads and stores batch too: the VM records each
+//     load/store address in a per-machine buffer, in block order, and
+//     StepBlock replays the shadow-memory reads and writes from it. A
+//     block run exactly replays its template in runs cut at each call.
+//     Region boundaries fall on CFG edges, never inside a block.
 //
-// The fallback ("slow") path is a per-instruction walk of the original IR
-// block that mirrors internal/interp statement for statement, so every
-// observable — output bytes, step and work counters, the full HCPA
-// profile, error text and position, and partial results at budget/cap
-// stops — is bit-identical between engines. Under HCPA it is reached only
-// by blocks with no bytecode and by fast blocks whose execution would cross
-// the budget or a liveness poll. The krfuzz differential oracle enforces
-// the equivalence continuously.
+// Every block compiles to one or two ranges of bytecode. The exact range
+// is 1:1 with the block's IR body (params lead as nops) and fully checked;
+// execExact runs it with internal/interp's per-instruction step counter,
+// budget check, liveness poll and work accrual. Blocks without calls or
+// allocations also get a fused range (superinstructions, elided globals,
+// opcodes absint proved unchecked) that execFast runs check-free. Blocks
+// with calls or allocations, and fused blocks at a budget or liveness-poll
+// edge, take the exact range, so every observable — output bytes, step and
+// work counters, the full HCPA profile, error text and position, and
+// partial results at budget/cap stops — is bit-identical between engines.
+// The krfuzz differential oracle enforces the equivalence continuously.
 package bytecode
 
 import (
@@ -129,7 +131,7 @@ const (
 	// unchecked chain forms are additionally allowed to span views with
 	// differing source positions (checked chains require a shared Pos so
 	// one slot serves every error). emitExact never produces these: the
-	// exact fallback path stays fully checked so faulting programs report
+	// exact range stays fully checked so faulting programs report
 	// the reference error at the reference position.
 	opViewU    // Dst = A[B] sub-view, no rank/bounds check
 	opLdIdxIU  // Dst = A[B], proven 1-D load, integer/bool element
@@ -144,11 +146,10 @@ const (
 	opDivIU // Dst = A / B, divisor proven nonzero
 	opRemIU // Dst = A % B, divisor proven nonzero
 
-	// Exact-block ops. Blocks with calls or allocations compile to
-	// unfused 1:1 bytecode replayed by execExact with per-instruction
-	// accounting. opCall's A is the callee's function index; opAlloc's A
-	// is the element kind; both read their C argument registers from
-	// FuncCode.IdxRegs[B:B+C].
+	// Exact-only ops: blocks with calls or allocations have only an exact
+	// range, run by execExact with per-instruction accounting. opCall's A
+	// is the callee's function index; opAlloc's A is the element kind;
+	// both read their C argument registers from FuncCode.IdxRegs[B:B+C].
 	opCall
 	opAlloc
 
@@ -183,12 +184,6 @@ const (
 	opJump    // to Edge0
 	opRetVal  // return A
 	opRetVoid // return
-	// opEndBlk closes every fast block that dangles without a terminator
-	// (the function ends there). With it, every fast block's bytecode ends
-	// in an opcode that exits the dispatch loop, so the loop needs no
-	// per-instruction end-of-block bounds check. Synthetic: counts no step
-	// and no work.
-	opEndBlk
 )
 
 var opNames = [...]string{
@@ -219,7 +214,6 @@ var opNames = [...]string{
 	opPrintStr: "printstr", opPrintValI: "printval.i", opPrintValF: "printval.f",
 	opPrintValB: "printval.b", opPrintNl: "printnl",
 	opBr: "br", opJump: "jump", opRetVal: "ret", opRetVoid: "ret.void",
-	opEndBlk: "endblk",
 }
 
 func (o opcode) String() string { return opNames[o] }
@@ -234,17 +228,6 @@ type Ins struct {
 	A, B, C int32
 	Pos     int32
 }
-
-// termKind classifies a block's terminator for the dispatch loop.
-type termKind uint8
-
-// Terminator kinds.
-const (
-	termNone termKind = iota // unterminated block: falls off the function
-	termBr
-	termJump
-	termRet
-)
 
 // arr is a (possibly partial) view into the simulated heap; identical in
 // meaning to the reference interpreter's array value, but pointer-free
@@ -268,42 +251,40 @@ type val struct {
 	a arr
 }
 
-// BBlock is the compiled form of one basic block.
+// BBlock is the compiled form of one basic block. Every block ends in its
+// one terminator (ir.Block.CheckShape), so both of its bytecode ranges end
+// in an opcode that leaves the dispatch loop.
 type BBlock struct {
 	IR *ir.Block
-	// Start/End delimit the block's instructions in FuncCode.Code
-	// (End exclusive). NeedsSlow blocks carry no bytecode (Start==End==-1).
+	// Start/End delimit the block's fused bytecode in FuncCode.Code (End
+	// exclusive); -1 when Fused is false.
 	Start, End int32
+	// XStart/XEnd delimit the block's exact bytecode: one instruction per
+	// body instruction, params first as nops, every check kept, with each
+	// instruction's IR latency in FuncCode.Lat.
+	XStart, XEnd int32
 	// NSteps counts the block's IR instructions after the phis (body +
 	// terminator), i.e. the step-counter increment of one execution.
 	NSteps uint32
 	// LatSum is the summed ir latency of those instructions — the plain
 	// work accrual of one check-free execution.
 	LatSum uint64
-	// NeedsSlow marks blocks that always take a per-instruction path:
-	// calls (the callee perturbs the step counter mid-block) and array
-	// allocations (they can fail the heap cap mid-block, and partial
-	// results must be exact prefixes).
-	NeedsSlow bool
-	// Exact marks NeedsSlow blocks whose Start/End range holds unfused
-	// 1:1 bytecode for execExact (per-instruction budget/liveness/work,
-	// register-indexed dispatch; params become leading nops). Non-exact
-	// NeedsSlow blocks — unknown builtins, degenerate control flow — carry
-	// no bytecode and always take the execSlow reference walk.
-	Exact bool
+	// Fused marks blocks with a fused range. Blocks with calls (the callee
+	// perturbs the step counter mid-block) or array allocations (they can
+	// fail the heap cap mid-block, and partial results must be exact
+	// prefixes) have none and always run their exact range.
+	Fused bool
 	// Tpl is the block's HCPA template: one entry per body instruction
 	// except params, loads, stores, the return and rand/print builtins
-	// included. Every block with bytecode carries one; non-exact NeedsSlow
-	// blocks, which have none, take one Step per instruction via execSlow.
-	// Fast blocks replay it whole after execFast, fused with the incoming
-	// edge's phis; exact blocks replay it in runs cut at each call (the
-	// call's own entry closes its run, so it lands before the callee runs).
+	// included. It serves both ranges: a fused run replays it whole after
+	// execFast, fused with the incoming edge's phis; an exact run replays
+	// it in runs cut at each call (the call's own entry closes its run, so
+	// it lands before the callee runs).
 	Tpl kremlib.BlockTemplate
 	// HasPush/PopAt: the branch pushes a control-dependence entry popped
 	// at PopAt (precompiled from the instrumentation tables).
 	HasPush bool
 	PopAt   *ir.Block
-	Term    termKind
 	// Edge0/Edge1 index FuncCode.Edges: the taken/else successor edges.
 	Edge0, Edge1 int32
 }
@@ -354,15 +335,15 @@ type FuncCode struct {
 	Consts []val
 	Strs   []string // printstr literals
 	// IdxRegs holds the index-register lists of rank-3+ fused accesses
-	// and the argument/dimension register lists of exact-block
+	// and the argument/dimension register lists of exact-range
 	// opCall/opAlloc (all slice it via their B/C operands).
 	IdxRegs []int32
 	// Lat is the per-pc IR latency, aligned with Code; meaningful only
-	// inside exact blocks, where execExact accrues work per instruction.
+	// inside exact ranges, where execExact accrues work per instruction.
 	Lat []uint32
 	// GlobalSeeds lists registers preloaded with global descriptors at
 	// call entry. Global descriptors never change after startup
-	// allocation, so opGlobal instructions in fast blocks are elided and
+	// allocation, so opGlobal instructions in fused ranges are elided and
 	// their result registers seeded once per call instead of rewritten
 	// on every loop iteration.
 	GlobalSeeds []GlobalSeed

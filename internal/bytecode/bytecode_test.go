@@ -195,12 +195,19 @@ func TestEngineEquivalence(t *testing.T) {
 	}
 }
 
-// countOps tallies every opcode across a program's bytecode.
+// countOps tallies the opcodes of the range each block normally runs.
 func countOps(p *Program) map[opcode]int {
 	n := make(map[opcode]int)
 	for _, fc := range p.Funcs() {
-		for _, ins := range fc.Code {
-			n[ins.Op]++
+		for _, b := range fc.Blocks {
+			// The range a block normally runs: fused when it has one.
+			start, end := b.XStart, b.XEnd
+			if b.Fused {
+				start, end = b.Start, b.End
+			}
+			for _, ins := range fc.Code[start:end] {
+				n[ins.Op]++
+			}
 		}
 	}
 	return n
@@ -271,10 +278,10 @@ void main() {
 	}
 }
 
-// TestBatchTemplates checks that every block with bytecode carries an HCPA
-// template — loads, stores, returns, rand/print builtins and exact (call)
-// blocks included — that blocks without bytecode carry none, and that
-// every edge into a block with phis carries an edge template.
+// TestBatchTemplates checks that every block carries an HCPA template —
+// loads, stores, returns, rand/print builtins and blocks without a fused
+// range (calls) included — and that every edge into a block with phis
+// carries an edge template.
 func TestBatchTemplates(t *testing.T) {
 	kinds := map[kremlib.TplKind]int{}
 	var exact int
@@ -282,10 +289,10 @@ func TestBatchTemplates(t *testing.T) {
 		c := compileKr(t, src)
 		for _, fc := range c.prog.Funcs() {
 			for bi, b := range fc.Blocks {
-				if hasCode := !b.NeedsSlow || b.Exact; hasCode != (b.Tpl != nil) {
-					t.Errorf("%s: func %s block %d: bytecode %v but template %v", name, fc.F.Name, bi, hasCode, b.Tpl != nil)
+				if b.Tpl == nil {
+					t.Errorf("%s: func %s block %d: no template", name, fc.F.Name, bi)
 				}
-				if b.Exact {
+				if !b.Fused {
 					exact++
 				}
 				for _, ti := range b.Tpl {
@@ -486,7 +493,7 @@ func TestVerifyRejectsCorruption(t *testing.T) {
 		{"terminator-mid-block", func(fc *FuncCode) bool {
 			for bi := range fc.Blocks {
 				b := &fc.Blocks[bi]
-				if b.NeedsSlow || b.End-b.Start < 2 {
+				if !b.Fused || b.End-b.Start < 2 {
 					continue
 				}
 				fc.Code[b.Start] = Ins{Op: opJump}

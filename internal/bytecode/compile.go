@@ -1,6 +1,7 @@
 package bytecode
 
 import (
+	"fmt"
 	"math"
 
 	"kremlin/internal/absint"
@@ -47,7 +48,7 @@ type fnCompiler struct {
 	fidx     map[*ir.Func]int32 // function -> Program.Funcs index (opCall)
 	// facts are the absint proofs consulted for unchecked emission; nil
 	// disables elimination. inExact suppresses them while emitExact runs:
-	// the exact fallback path must stay fully checked so faulting programs
+	// the exact range must stay fully checked so faulting programs
 	// report the reference error at the reference position.
 	facts   *absint.Facts
 	inExact bool
@@ -95,6 +96,9 @@ func compileFunc(f *ir.Func, prog *regions.Program, instr *instrument.Module, fi
 	for i, b := range f.Blocks {
 		c.compileBlock(int32(i), b)
 	}
+	for i := range c.fc.Blocks {
+		c.emitExact(&c.fc.Blocks[i])
+	}
 	c.fc.NumRegs = c.fc.ConstBase + int32(len(c.fc.Consts))
 	return c.fc
 }
@@ -130,79 +134,29 @@ func (c *fnCompiler) constReg(k constKey, v val) int32 {
 	return c.fc.ConstBase + idx
 }
 
-// knownBuiltins are the builtins both engines implement; all of them may
-// run check-free (dim can fail mid-block, but a runtime error aborts the
-// run with no result, so where it stops is unobservable). Anything else
-// makes the block slow-path so the reference error text is produced.
-var knownBuiltins = map[string]bool{
-	"sqrt": true, "fabs": true, "floor": true, "exp": true, "log": true,
-	"sin": true, "cos": true, "pow": true, "abs": true, "min": true,
-	"max": true, "dim": true, "rand": true, "frand": true, "srand": true,
-	"printstr": true, "printval": true, "printnl": true,
-}
-
+// compileBlock classifies blk, precompiles its edges and template, and
+// emits its fused range when it has one; compileFunc emits every block's
+// exact range afterwards, so the fused ranges sit together in Code. blk
+// must satisfy ir.Block.CheckShape: irbuild only emits such blocks and the
+// KRIB1 validator rejects any other, so a broken one is a compiler bug.
 func (c *fnCompiler) compileBlock(bi int32, blk *ir.Block) {
+	if err := blk.CheckShape(); err != nil {
+		panic(fmt.Sprintf("bytecode: func %s: %v", c.f.Name, err))
+	}
 	bb := &c.fc.Blocks[bi]
 	bb.IR = blk
 	bb.Start, bb.End = -1, -1
 
 	body := blk.Instrs[len(phisOf(blk)):]
-
+	// Calls perturb the step counter mid-block; allocations can fail the
+	// heap cap mid-block. Both must check per instruction, so their blocks
+	// get no fused range.
+	bb.Fused = true
 	for _, ins := range body {
 		bb.NSteps++
 		bb.LatSum += ins.Latency()
-	}
-
-	// Classify. NeedsSlow blocks take a per-instruction path
-	// unconditionally (exact bytecode when representable, the reference
-	// walk otherwise). Every block that carries bytecode also carries its
-	// HCPA template, replayed by StepBlock: whole for fast blocks, in runs
-	// cut at each call for exact ones.
-	exactOK := true
-	for i, ins := range body {
-		switch ins.Op {
-		case ir.OpParam, ir.OpBin, ir.OpNeg, ir.OpNot, ir.OpConvert,
-			ir.OpGlobal, ir.OpView, ir.OpLoad, ir.OpStore:
-			// template-eligible
-		case ir.OpBuiltin:
-			if !knownBuiltins[ins.Builtin] {
-				bb.NeedsSlow = true
-				exactOK = false
-			}
-		case ir.OpBr, ir.OpJump, ir.OpRet:
-			if i != len(body)-1 {
-				// Mid-block terminator: only the reference walk reproduces
-				// the interpreter's continue-past-terminator behavior.
-				bb.NeedsSlow = true
-				exactOK = false
-			}
-		case ir.OpCall, ir.OpAllocArray:
-			// Calls perturb the step counter mid-block; allocations can
-			// fail the heap cap mid-block. Both must check per instruction.
-			bb.NeedsSlow = true
-		default:
-			bb.NeedsSlow = true
-			exactOK = false
-		}
-	}
-	if t := blk.Terminator(); t == nil {
-		bb.Term = termNone
-		// A block that dangles without a terminator but branches mid-block
-		// cannot be mapped onto precompiled edges; force the reference walk.
-		for _, ins := range body {
-			if ins.Op == ir.OpBr || ins.Op == ir.OpJump {
-				bb.NeedsSlow = true
-				exactOK = false
-			}
-		}
-	} else {
-		switch t.Op {
-		case ir.OpBr:
-			bb.Term = termBr
-		case ir.OpJump:
-			bb.Term = termJump
-		default:
-			bb.Term = termRet
+		if ins.Op == ir.OpCall || ins.Op == ir.OpAllocArray {
+			bb.Fused = false
 		}
 	}
 
@@ -212,28 +166,20 @@ func (c *fnCompiler) compileBlock(bi int32, blk *ir.Block) {
 	}
 
 	// Edges (the terminator's targets, in then/else order).
-	if t := blk.Terminator(); t != nil {
-		switch t.Op {
-		case ir.OpBr:
-			bb.Edge0 = c.addEdge(blk, t.Targets[0])
-			bb.Edge1 = c.addEdge(blk, t.Targets[1])
-		case ir.OpJump:
-			bb.Edge0 = c.addEdge(blk, t.Targets[0])
-		}
+	if t := blk.Terminator(); t.Op == ir.OpBr {
+		bb.Edge0 = c.addEdge(blk, t.Targets[0])
+		bb.Edge1 = c.addEdge(blk, t.Targets[1])
+	} else if t.Op == ir.OpJump {
+		bb.Edge0 = c.addEdge(blk, t.Targets[0])
 	}
 
-	if bb.NeedsSlow {
-		if !exactOK {
-			return
-		}
-		c.emitExact(bb, body)
-	} else {
+	if bb.Fused {
 		c.emit(bb, body)
 	}
 	// The template's memory entries follow IR order, which is also the
-	// order the emitted bytecode executes its loads and stores in (fusion
-	// elides views, never a load or store), so they line up with the VM's
-	// address buffer.
+	// order both ranges execute their loads and stores in (fusion elides
+	// views, never a load or store), so they line up with the VM's address
+	// buffer.
 	bb.Tpl = kremlib.BlockTemplateOf(body)
 }
 
@@ -304,8 +250,7 @@ func (c *fnCompiler) transparent(ins *ir.Instr) bool {
 			"abs", "min", "max", "rand", "frand", "srand":
 			return true
 		}
-		// dim faults; prints are observable output; anything unknown
-		// forces the whole block slow-path regardless.
+		// dim faults; prints are observable output.
 		return false
 	}
 	// Unproven views fault, stores/terminators/calls close the window.
@@ -450,12 +395,6 @@ func (c *fnCompiler) emit(bb *BBlock, body []*ir.Instr) {
 		}
 		c.emitIns(ins, fuse[ins], chains[ins], latch[ins])
 	}
-	if bb.Term == termNone {
-		// Close dangling blocks with a sentinel so the dispatch loop never
-		// needs an end-of-block bounds check (terminated blocks end in a
-		// terminator opcode already).
-		c.push(Ins{Op: opEndBlk})
-	}
 	bb.End = int32(len(c.fc.Code))
 }
 
@@ -464,17 +403,18 @@ func (c *fnCompiler) push(i Ins) {
 	c.fc.Lat = append(c.fc.Lat, 0)
 }
 
-// emitExact lowers a NeedsSlow block to unfused 1:1 bytecode — one
-// instruction per IR instruction (params become nops, and lead the block),
-// calls and allocations included — recording each instruction's IR latency
-// in FuncCode.Lat. execExact replays it with the reference engine's exact per-instruction
-// budget/liveness/work accounting; under HCPA it replays the block's
-// template in runs cut at each call.
-func (c *fnCompiler) emitExact(bb *BBlock, body []*ir.Instr) {
+// emitExact lowers a block to its exact range: unfused 1:1 bytecode, one
+// instruction per IR body instruction (params become nops, and lead the
+// range), calls and allocations included, with each instruction's IR
+// latency recorded in FuncCode.Lat. execExact replays it with the
+// reference engine's exact per-instruction budget/liveness/work
+// accounting; under HCPA it replays the block's template in runs cut at
+// each call.
+func (c *fnCompiler) emitExact(bb *BBlock) {
 	c.inExact = true
 	defer func() { c.inExact = false }()
-	bb.Start = int32(len(c.fc.Code))
-	for _, ins := range body {
+	bb.XStart = int32(len(c.fc.Code))
+	for _, ins := range bb.IR.Instrs[len(phisOf(bb.IR)):] {
 		switch ins.Op {
 		case ir.OpParam:
 			c.push(Ins{Op: opNop})
@@ -489,8 +429,7 @@ func (c *fnCompiler) emitExact(bb *BBlock, body []*ir.Instr) {
 		}
 		c.fc.Lat[len(c.fc.Lat)-1] = uint32(ins.Latency())
 	}
-	bb.End = int32(len(c.fc.Code))
-	bb.Exact = true
+	bb.XEnd = int32(len(c.fc.Code))
 }
 
 // argList interns an opCall/opAlloc operand list into FuncCode.IdxRegs
@@ -643,6 +582,8 @@ func (c *fnCompiler) emitIns(ins *ir.Instr, fused *ir.Instr, chain []*ir.Instr, 
 			return
 		}
 		c.push(Ins{Op: opRetVoid})
+	default:
+		panic(fmt.Sprintf("bytecode: func %s: block %s: unsupported opcode %s", c.f.Name, ins.Block, ins.Op))
 	}
 }
 
@@ -690,6 +631,8 @@ func (c *fnCompiler) emitBuiltin(ins *ir.Instr) {
 		c.push(Ins{Op: op, A: argN(0)})
 	case "printnl":
 		c.push(Ins{Op: opPrintNl})
+	default:
+		panic(fmt.Sprintf("bytecode: func %s: block %s: unknown builtin %q", c.f.Name, ins.Block, ins.Builtin))
 	}
 }
 

@@ -51,7 +51,7 @@ func regUse(op opcode) int {
 		return useDstSrc | useA
 	case opSrand, opPrintValI, opPrintValF, opPrintValB, opBr, opRetVal:
 		return useA
-	case opNop, opPrintStr, opPrintNl, opJump, opRetVoid, opEndBlk:
+	case opNop, opPrintStr, opPrintNl, opJump, opRetVoid:
 		return 0
 	// opCall's A is a function index, opAlloc's A an element kind; both
 	// argument lists live in FuncCode.IdxRegs, checked separately.
@@ -64,7 +64,7 @@ func regUse(op opcode) int {
 func isTermOp(op opcode) bool {
 	switch op {
 	case opBr, opBrCmpI, opBrCmpF, opIncCmpBrI, opDecCmpBrI,
-		opIncJmpI, opDecJmpI, opJump, opRetVal, opRetVoid, opEndBlk:
+		opIncJmpI, opDecJmpI, opJump, opRetVal, opRetVoid:
 		return true
 	}
 	return false
@@ -85,7 +85,7 @@ func isMemOp(op opcode) bool {
 // Verify checks a compiled program's structural invariants — everything
 // the check-free fast path assumes instead of testing at dispatch time:
 // operand indices inside the register file, edge and block indices in
-// range, terminators only in final position, templates referencing only
+// range, every range ending in its one terminator, templates referencing only
 // shadow-register IDs. The krfuzz oracle runs it on every generated
 // program; tests run it on every compiled fixture.
 func Verify(p *Program) error {
@@ -152,88 +152,74 @@ func verifyFunc(p *Program, fc *FuncCode) error {
 }
 
 func verifyBlock(p *Program, fc *FuncCode, b *BBlock) error {
-	if b.Exact && !b.NeedsSlow {
-		return fmt.Errorf("Exact block is not NeedsSlow")
+	if b.Fused {
+		if err := verifyRange(p, fc, b.Start, b.End, false); err != nil {
+			return fmt.Errorf("fused range: %w", err)
+		}
+	} else if b.Start != -1 || b.End != -1 {
+		return fmt.Errorf("block without a fused range carries fused bytecode [%d,%d)", b.Start, b.End)
 	}
-	if b.NeedsSlow && !b.Exact {
-		if b.Start != -1 || b.End != -1 {
-			return fmt.Errorf("func %s: non-exact NeedsSlow block carries bytecode [%d,%d)", fc.F.Name, b.Start, b.End)
-		}
-	} else {
-		if b.Start < 0 || b.End < b.Start || int(b.End) > len(fc.Code) {
-			return fmt.Errorf("func %s: code range [%d,%d) out of bounds (%d) [%d insns]", fc.F.Name, b.Start, b.End, len(fc.Code), b.End-b.Start)
-		}
-		for pc := b.Start; pc < b.End; pc++ {
-			ins := &fc.Code[pc]
-			if err := verifyIns(p, fc, ins); err != nil {
-				return fmt.Errorf("pc %d (%v): %w", pc, ins.Op, err)
-			}
-			if isTermOp(ins.Op) && pc != b.End-1 {
-				return fmt.Errorf("pc %d: terminator %v before end of block", pc, ins.Op)
-			}
-			if b.Exact {
-				switch ins.Op {
-				case opBrCmpI, opBrCmpF, opIncCmpBrI, opDecCmpBrI, opIncJmpI, opDecJmpI, opLdIdxI, opLdIdxF, opStIdx,
-					opLdIdx2I, opLdIdx2F, opStIdx2, opLdIdxNI, opLdIdxNF, opStIdxN:
-					return fmt.Errorf("pc %d: fused opcode %v in exact block", pc, ins.Op)
-				case opViewU, opLdIdxIU, opLdIdxFU, opStIdxU, opLdIdx2IU, opLdIdx2FU,
-					opStIdx2U, opLdIdxNIU, opLdIdxNFU, opStIdxNU, opDivIU, opRemIU:
-					// The exact path is the checked fallback: an unchecked
-					// opcode here could silently skip a reference error.
-					return fmt.Errorf("pc %d: unchecked opcode %v in exact block", pc, ins.Op)
-				}
-			} else if ins.Op == opCall || ins.Op == opAlloc {
-				return fmt.Errorf("pc %d: exact-only opcode %v in fast block", pc, ins.Op)
-			}
-		}
-		if b.Term != termNone && b.End > b.Start && !isTermOp(fc.Code[b.End-1].Op) {
-			return fmt.Errorf("terminated block ends in non-terminator %v", fc.Code[b.End-1].Op)
-		}
-		if !b.Exact && b.Term == termNone && (b.End == b.Start || fc.Code[b.End-1].Op != opEndBlk) {
-			return fmt.Errorf("dangling fast block does not end in endblk")
-		}
-		if b.Exact {
-			for pc := b.Start; pc < b.End; pc++ {
-				if fc.Code[pc].Op == opEndBlk {
-					return fmt.Errorf("pc %d: endblk in exact block", pc)
-				}
-			}
-		}
+	if err := verifyRange(p, fc, b.XStart, b.XEnd, true); err != nil {
+		return fmt.Errorf("exact range: %w", err)
 	}
-	switch b.Term {
-	case termBr:
-		if b.Edge0 < 0 || int(b.Edge0) >= len(fc.Edges) || b.Edge1 < 0 || int(b.Edge1) >= len(fc.Edges) {
-			return fmt.Errorf("branch edges %d/%d out of range (%d)", b.Edge0, b.Edge1, len(fc.Edges))
+	nEdges := int32(len(fc.Edges))
+	switch b.IR.Terminator().Op {
+	case ir.OpBr:
+		if b.Edge0 < 0 || b.Edge0 >= nEdges || b.Edge1 < 0 || b.Edge1 >= nEdges {
+			return fmt.Errorf("branch edges %d/%d out of range (%d)", b.Edge0, b.Edge1, nEdges)
 		}
-	case termJump:
-		if b.Edge0 < 0 || int(b.Edge0) >= len(fc.Edges) {
-			return fmt.Errorf("jump edge %d out of range (%d)", b.Edge0, len(fc.Edges))
-		}
-	case termNone:
-		// The slow path maps branches through the block's final terminator;
-		// a dangling block must therefore contain no branch at all.
-		for _, ins := range b.IR.Instrs {
-			if ins.Op == ir.OpBr || ins.Op == ir.OpJump {
-				return fmt.Errorf("dangling block contains mid-block branch")
-			}
+	case ir.OpJump:
+		if b.Edge0 < 0 || b.Edge0 >= nEdges {
+			return fmt.Errorf("jump edge %d out of range (%d)", b.Edge0, nEdges)
 		}
 	}
 	return verifyBlockTemplate(fc, b)
 }
 
-// verifyBlockTemplate checks a block's HCPA template against its bytecode:
-// every block with bytecode carries one entry per stepped (non-param)
-// instruction, and StepBlock consumes the VM's address buffer entry by
-// entry, so the template must hold one memory entry per load/store opcode
-// — for an exact block, at the very position of each (its template is
-// replayed in runs cut at calls).
-func verifyBlockTemplate(fc *FuncCode, b *BBlock) error {
-	if b.NeedsSlow && !b.Exact {
-		if b.Tpl != nil {
-			return fmt.Errorf("block without bytecode carries an HCPA template")
-		}
-		return nil
+// verifyRange checks one bytecode range of a block: in bounds, every
+// instruction well-formed, and a terminator in final position and nowhere
+// else — the dispatch loops have no end-of-range check. An exact range
+// holds only unfused, fully checked opcodes; a fused range no call or
+// allocation.
+func verifyRange(p *Program, fc *FuncCode, start, end int32, exact bool) error {
+	if start < 0 || end <= start || int(end) > len(fc.Code) {
+		return fmt.Errorf("code range [%d,%d) out of bounds (%d)", start, end, len(fc.Code))
 	}
+	for pc := start; pc < end; pc++ {
+		ins := &fc.Code[pc]
+		if err := verifyIns(p, fc, ins); err != nil {
+			return fmt.Errorf("pc %d (%v): %w", pc, ins.Op, err)
+		}
+		if isTermOp(ins.Op) != (pc == end-1) {
+			return fmt.Errorf("pc %d: %v, want a terminator exactly at the end of the range", pc, ins.Op)
+		}
+		if !exact {
+			if ins.Op == opCall || ins.Op == opAlloc {
+				return fmt.Errorf("pc %d: exact-only opcode %v in fused range", pc, ins.Op)
+			}
+			continue
+		}
+		switch ins.Op {
+		case opBrCmpI, opBrCmpF, opIncCmpBrI, opDecCmpBrI, opIncJmpI, opDecJmpI, opLdIdxI, opLdIdxF, opStIdx,
+			opLdIdx2I, opLdIdx2F, opStIdx2, opLdIdxNI, opLdIdxNF, opStIdxN:
+			return fmt.Errorf("pc %d: fused opcode %v in exact range", pc, ins.Op)
+		case opViewU, opLdIdxIU, opLdIdxFU, opStIdxU, opLdIdx2IU, opLdIdx2FU,
+			opStIdx2U, opLdIdxNIU, opLdIdxNFU, opStIdxNU, opDivIU, opRemIU:
+			// The exact range is the checked path: an unchecked opcode here
+			// could silently skip a reference error.
+			return fmt.Errorf("pc %d: unchecked opcode %v in exact range", pc, ins.Op)
+		}
+	}
+	return nil
+}
+
+// verifyBlockTemplate checks a block's HCPA template against its bytecode:
+// one entry per stepped (non-param) instruction, and StepBlock consumes
+// the VM's address buffer entry by entry, so the template must hold one
+// memory entry per load/store opcode of the fused range, and in the exact
+// range one at the very position of each (an exact run replays the
+// template in runs cut at calls).
+func verifyBlockTemplate(fc *FuncCode, b *BBlock) error {
 	stepped := 0
 	for _, ins := range b.IR.Instrs[len(phisOf(b.IR)):] {
 		if ins.Op != ir.OpParam {
@@ -243,12 +229,7 @@ func verifyBlockTemplate(fc *FuncCode, b *BBlock) error {
 	if len(b.Tpl) != stepped {
 		return fmt.Errorf("template has %d entries for %d stepped instructions", len(b.Tpl), stepped)
 	}
-	var tplMem, codeMem int
-	for pc := b.Start; pc < b.End; pc++ {
-		if isMemOp(fc.Code[pc].Op) {
-			codeMem++
-		}
-	}
+	tplMem := 0
 	for i := range b.Tpl {
 		ti := &b.Tpl[i]
 		if err := verifyTplIns(fc, ti); err != nil {
@@ -266,22 +247,27 @@ func verifyBlockTemplate(fc *FuncCode, b *BBlock) error {
 			return fmt.Errorf("template ins %d: phi entry in a block template", i)
 		}
 	}
-	if tplMem != codeMem {
-		return fmt.Errorf("template has %d memory entries, bytecode %d loads/stores", tplMem, codeMem)
+	if b.Fused {
+		codeMem := 0
+		for pc := b.Start; pc < b.End; pc++ {
+			if isMemOp(fc.Code[pc].Op) {
+				codeMem++
+			}
+		}
+		if tplMem != codeMem {
+			return fmt.Errorf("template has %d memory entries, fused range %d loads/stores", tplMem, codeMem)
+		}
 	}
-	if !b.Exact {
-		return nil
+	// The exact range: one instruction per body instruction; params lead
+	// as nops, then pc maps to entry pc-base.
+	if body := len(b.IR.Instrs) - len(phisOf(b.IR)); int(b.XEnd-b.XStart) != body {
+		return fmt.Errorf("exact range has %d instructions for a %d-instruction body", b.XEnd-b.XStart, body)
 	}
-	// Exact blocks: one instruction per body instruction; params lead as
-	// nops, then pc maps to entry pc-base.
-	if body := len(b.IR.Instrs) - len(phisOf(b.IR)); int(b.End-b.Start) != body {
-		return fmt.Errorf("exact block has %d instructions for a %d-instruction body", b.End-b.Start, body)
-	}
-	base := b.End - int32(len(b.Tpl))
-	for pc := b.Start; pc < b.End; pc++ {
+	base := b.XEnd - int32(len(b.Tpl))
+	for pc := b.XStart; pc < b.XEnd; pc++ {
 		op := fc.Code[pc].Op
 		if (op == opNop) != (pc < base) {
-			return fmt.Errorf("pc %d: nops must lead an exact block, one per param", pc)
+			return fmt.Errorf("pc %d: nops must lead an exact range, one per param", pc)
 		}
 		if pc < base {
 			continue
@@ -292,7 +278,7 @@ func verifyBlockTemplate(fc *FuncCode, b *BBlock) error {
 			return fmt.Errorf("pc %d: %v against template entry of kind %d", pc, op, k)
 		}
 		// execExact finds a call's IR instruction by this 1:1 mapping.
-		if irOp := b.IR.Instrs[len(b.IR.Instrs)-int(b.End-pc)].Op; (op == opCall) != (irOp == ir.OpCall) {
+		if irOp := b.IR.Instrs[len(b.IR.Instrs)-int(b.XEnd-pc)].Op; (op == opCall) != (irOp == ir.OpCall) {
 			return fmt.Errorf("pc %d: %v against IR %v", pc, op, irOp)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"kremlin/internal/ast"
+	"kremlin/internal/inccache"
 	"kremlin/internal/interp"
 	"kremlin/internal/ir"
 	"kremlin/internal/kremlib"
@@ -77,10 +78,6 @@ type machine struct {
 	// load and store executed since the last StepBlock, in execution
 	// order, for the next StepBlock to consume (see package kremlib).
 	addrs []uint64
-	// batchedSteps and slowSteps split HCPA steps (edge phis included)
-	// between template replays and execSlow's per-instruction Steps.
-	batchedSteps uint64
-	slowSteps    uint64
 }
 
 type gpFrame struct {
@@ -143,8 +140,6 @@ func Run(p *Program, cfg interp.Config) (*interp.Result, error) {
 		res.ShadowPages = m.rt.Mem().NumPages()
 		res.ShadowWrites = m.rt.Mem().Writes
 		res.CarriedDeps = m.rt.CarriedDeps()
-		res.BatchedSteps = m.batchedSteps
-		res.SlowSteps = m.slowSteps
 	case interp.Probe:
 		m.probeFlush()
 		res.Work = m.work
@@ -440,13 +435,12 @@ func (m *machine) putRegs(r []val) {
 
 // call executes fc. The structure mirrors interp's call loop exactly, with
 // per-block batching layered on: block entry handles control-stack
-// maintenance and the incoming edge's phi moves, then the block body runs
-// on the check-free fast path when its precomputed step count fits the
-// budget and crosses no liveness-poll boundary; otherwise it runs a
-// per-instruction path (execExact for exact blocks, the reference walk
-// for the rest). In HCPA mode a fast block replays the edge's phis and
-// its body in one StepBlock; any other block replays the edge's phis
-// alone first.
+// maintenance and the incoming edge's phi moves, then the block runs its
+// fused range on execFast when it has one, its precomputed step count fits
+// the budget and it crosses no liveness-poll boundary; anything else runs
+// the block's exact range on execExact. In HCPA mode a fused run replays
+// the edge's phis and its body in one StepBlock; an exact run replays the
+// edge's phis alone first.
 func (m *machine) call(fc *FuncCode, args []val, argVecs []shadow.Vec, callerFS *kremlib.FrameState) (val, shadow.Vec, error) {
 	regs := m.getRegs(fc)
 	watermark := m.heapTop
@@ -512,54 +506,34 @@ func (m *machine) call(fc *FuncCode, args []val, argVecs []shadow.Vec, callerFS 
 
 		n := uint64(b.NSteps)
 		var edge int32
+		var rv val
 		var returned bool
-		if !b.NeedsSlow &&
+		var err error
+		if b.Fused &&
 			m.steps+n <= m.limit &&
 			(m.steps+n)>>limits.LiveCheckShift == m.steps>>limits.LiveCheckShift {
 			m.steps += n
 			if fs == nil {
 				m.work += b.LatSum
 			}
-			var rv val
-			var err error
 			edge, rv, returned, err = m.execFast(fc, regs, b, m.cfg.Mode == interp.Plain)
-			if err != nil {
-				return val{}, nil, err
-			}
-			if returned {
-				retVal = rv
-			}
-			if fs != nil {
+			if err == nil && fs != nil {
 				brVec := m.rt.StepBlock(fs, phiTpl, b.Tpl, m.addrs)
 				if b.HasPush {
 					m.rt.PushBlockCtrl(fs, b.IR, b.PopAt, brVec)
 				}
-				m.batchedSteps += uint64(len(phiTpl)) + n
 			}
 		} else {
 			if fs != nil && len(phiTpl) > 0 {
 				m.rt.StepBlock(fs, phiTpl, nil, nil)
-				m.batchedSteps += uint64(len(phiTpl))
 			}
-			var rv val
-			var err error
-			if b.Exact {
-				edge, rv, returned, err = m.execExact(fc, regs, b, fs)
-				if fs != nil && err == nil {
-					m.batchedSteps += n
-				}
-			} else {
-				edge, rv, returned, err = m.execSlow(fc, regs, b, fs)
-			}
-			if err != nil {
-				return val{}, nil, err
-			}
-			if returned {
-				retVal = rv
-			}
+			edge, rv, returned, err = m.execExact(fc, regs, b, fs)
 		}
-
-		if returned || edge < 0 {
+		if err != nil {
+			return val{}, nil, err
+		}
+		if returned {
+			retVal = rv
 			break
 		}
 		e := &fc.Edges[edge]
@@ -630,15 +604,14 @@ func (m *machine) noteAddr(track bool, addr uint64) {
 	}
 }
 
-// execFast runs block bytecode with no per-instruction checks and no
-// profiling calls (step/work totals were batched by the caller; HCPA
+// execFast runs a block's fused range with no per-instruction checks and
+// no profiling calls (step/work totals were batched by the caller; HCPA
 // effects replay via StepBlock afterwards). In HCPA mode it records the
 // effective address of every load and store in m.addrs, in execution
 // order, for StepBlock to consume; the gate never lets a batched block
 // cross a liveness poll, so the shadow-page cap sees the same page count
 // at every poll as a per-instruction run. It returns the taken edge
-// index, or returned=true with the return value, or edge -1 when the
-// block dangles (the function then ends, as in the reference engine).
+// index, or returned=true with the return value.
 //
 // With chain set (plain mode only — no per-edge region events exist),
 // taken edges whose target passes the same fast-path gate the caller
@@ -660,9 +633,6 @@ func (m *machine) execFast(fc *FuncCode, regs []val, b *BBlock, chain bool) (int
 		ins := &code[pc]
 		pc++
 		switch ins.Op {
-		case opEndBlk:
-			// Dangling block: the function ends (mirrors interp's next == nil).
-			return -1, val{}, false, nil
 		case opAddI:
 			regs[ins.Dst].i = regs[ins.A].i + regs[ins.B].i
 		case opSubI:
@@ -1095,7 +1065,7 @@ func (m *machine) execFast(fc *FuncCode, regs []val, b *BBlock, chain bool) (int
 		e := &fc.Edges[edge]
 		nb := &fc.Blocks[e.Target]
 		n := uint64(e.NPhis) + uint64(nb.NSteps)
-		if nb.NeedsSlow || m.steps+n > m.limit ||
+		if !nb.Fused || m.steps+n > m.limit ||
 			(m.steps+n)>>limits.LiveCheckShift != m.steps>>limits.LiveCheckShift {
 			return edge, val{}, false, nil
 		}
@@ -1122,13 +1092,14 @@ func (m *machine) execFast(fc *FuncCode, regs []val, b *BBlock, chain bool) (int
 	}
 }
 
-// execExact runs an exact block's unfused bytecode with the reference
-// engine's per-instruction accounting: every instruction pays the step
-// increment, budget check, liveness poll, and work accrual in exactly
+// execExact runs a block's exact range with the reference engine's
+// per-instruction accounting: every instruction pays the step increment,
+// budget check, liveness poll, and work accrual in exactly
 // internal/interp's order, so mid-block budget stops, heap-cap failures,
-// and partial results stay bit-identical. It serves NeedsSlow blocks
-// (calls, allocations) in every mode, replacing execSlow's interface-heavy
-// IR walk with register-indexed dispatch. m.heap and m.dimArena are
+// runtime errors and partial results stay bit-identical. It is the VM's
+// one per-instruction path, in every mode: blocks with calls or
+// allocations always take it, fused blocks whenever their execution would
+// cross the budget or a liveness poll. m.heap and m.dimArena are
 // deliberately not cached in locals: opCall and opAlloc can grow or
 // reallocate both.
 //
@@ -1146,13 +1117,14 @@ func (m *machine) execExact(fc *FuncCode, regs []val, b *BBlock, fs *kremlib.Fra
 	// Params lead the block as nops with no template entry, so pc's entry
 	// is tpl[pc-tplBase]; seg is the first pending entry.
 	tpl := b.Tpl
-	tplBase := b.End - int32(len(tpl))
+	tplBase := b.XEnd - int32(len(tpl))
 	seg := int32(0)
 	track := fs != nil
 	if track {
 		m.addrs = m.addrs[:0]
 	}
-	for pc := b.Start; pc < b.End; pc++ {
+	// The range ends in its terminator, which returns.
+	for pc := b.XStart; ; pc++ {
 		ins := &code[pc]
 		m.steps++
 		if m.steps > m.limit {
@@ -1260,7 +1232,7 @@ func (m *machine) execExact(fc *FuncCode, regs []val, b *BBlock, fs *kremlib.Fra
 			if track {
 				// Exact bytecode is 1:1 with the block body, the tail of
 				// the IR block.
-				call = b.IR.Instrs[len(b.IR.Instrs)-int(b.End-pc)]
+				call = b.IR.Instrs[len(b.IR.Instrs)-int(b.XEnd-pc)]
 				m.replayExact(fs, tpl, &seg, pc-tplBase+1)
 			}
 			if err := m.callOp(fc, regs, ins, call, fs); err != nil {
@@ -1373,18 +1345,13 @@ func (m *machine) execExact(fc *FuncCode, regs []val, b *BBlock, fs *kremlib.Fra
 			}
 			return -1, val{}, true, nil
 		default:
-			// Unreachable for verified code (exact blocks are unfused).
+			// Unreachable for verified code (exact ranges are unfused).
 			return 0, val{}, false, m.errAt(int(ins.Pos), "unknown opcode %v", ins.Op)
 		}
 	}
-	// Dangling block: the function ends (mirrors interp's next == nil).
-	if track {
-		m.endExact(fs, b, &seg)
-	}
-	return -1, val{}, false, nil
 }
 
-// replayExact replays an exact block's pending template entries
+// replayExact replays an exact run's pending template entries
 // tpl[*seg:to] and the addresses buffered for them (HCPA only; a no-op
 // when fs is nil or nothing is pending).
 func (m *machine) replayExact(fs *kremlib.FrameState, tpl kremlib.BlockTemplate, seg *int32, to int32) shadow.Vec {
@@ -1397,7 +1364,7 @@ func (m *machine) replayExact(fs *kremlib.FrameState, tpl kremlib.BlockTemplate,
 	return out
 }
 
-// endExact replays the rest of an exact block's template at its end and
+// endExact replays the rest of an exact run's template at its end and
 // pushes the branch's control entry, as the fast path does.
 func (m *machine) endExact(fs *kremlib.FrameState, b *BBlock, seg *int32) {
 	brVec := m.replayExact(fs, b.Tpl, seg, int32(len(b.Tpl)))
@@ -1426,7 +1393,7 @@ func (m *machine) callOp(fc *FuncCode, regs []val, ins *Ins, call *ir.Instr, fs 
 }
 
 // allocOp is execExact's OpAllocArray: same dimension validation order,
-// error text, and heap-cap behavior as allocArray.
+// error text, and heap-cap behavior as the reference interpreter.
 func (m *machine) allocOp(fc *FuncCode, regs []val, ins *Ins) (val, error) {
 	doff := int32(len(m.dimArena))
 	total := int64(1)
@@ -1449,4 +1416,91 @@ func (m *machine) allocOp(fc *FuncCode, regs []val, ins *Ins) (val, error) {
 		return val{}, err
 	}
 	return val{a: arr{base: base, doff: doff, rank: int16(ins.C), elem: uint8(ins.A)}}, nil
+}
+
+// invoke runs the call instruction call to function callee (a Mod.Funcs
+// index) with its arguments gathered in args. Under HCPA (fs set; the call's own Step has
+// already run) it follows interp's call protocol: the argument vectors
+// seed the callee frame, the incremental cache may replay the extent
+// (TrySkip) or record it (BeginRecord/EndRecord), and FinishCall merges
+// the return vector. The callee compiles only if it actually runs.
+func (m *machine) invoke(callee int32, call *ir.Instr, args []val, fs *kremlib.FrameState) (val, error) {
+	if fs == nil {
+		ret, _, err := m.call(m.p.Func(callee), args, nil, nil)
+		return ret, err
+	}
+	argVecs := m.vecScratch[:0]
+	for _, a := range call.Args {
+		var v shadow.Vec
+		if ai, ok := a.(*ir.Instr); ok {
+			v = fs.Regs.Get(ai.ID)
+		}
+		argVecs = append(argVecs, v)
+	}
+	m.vecScratch = argVecs
+	var rec *inccache.Recording
+	sess := m.cfg.Cache
+	if sess != nil && sess.Cacheable(call.Callee) {
+		bits := m.argBits(call.Callee, args)
+		if hit, ok := sess.TrySkip(call.Callee, call, fs, bits, argVecs, m.steps, m.limit, m.heapTop, m.heapCap); ok {
+			m.steps += hit.Steps
+			if p := m.heapTop + hit.PeakHeap; p > m.heapPeak {
+				m.heapPeak = p
+			}
+			return vmValFromBits(call.Callee.Ret, hit.RetBits), nil
+		}
+		rec = sess.BeginRecord(call.Callee, bits, m.steps)
+	}
+	savedPeak := m.heapPeak
+	if rec != nil {
+		// Track the extent's own heap high-water mark so the record can
+		// reproduce heap-cap failures exactly on replay.
+		m.heapPeak = m.heapTop
+	}
+	ret, retVec, err := m.call(m.p.Func(callee), args, argVecs, fs)
+	if err != nil {
+		return val{}, err
+	}
+	if rec != nil {
+		sess.EndRecord(rec, m.steps, vmRetBits(call.Callee.Ret, ret), retVec, m.heapPeak-m.heapTop)
+		if savedPeak > m.heapPeak {
+			m.heapPeak = savedPeak
+		}
+	}
+	m.rt.FinishCall(fs, call, retVec)
+	return ret, nil
+}
+
+// argBits canonicalizes scalar call arguments for cache keying into the
+// machine's reusable buffer, bit-for-bit the reference interpreter's
+// callArgBits.
+func (m *machine) argBits(f *ir.Func, args []val) []uint64 {
+	bits := m.bitScratch[:0]
+	for i, p := range f.Params {
+		var b uint64
+		if i < len(args) {
+			if p.Typ.Elem == ast.Float {
+				b = math.Float64bits(args[i].f)
+			} else {
+				b = uint64(args[i].i)
+			}
+		}
+		bits = append(bits, b)
+	}
+	m.bitScratch = bits
+	return bits
+}
+
+func vmValFromBits(ret ast.BasicKind, bits uint64) val {
+	if ret == ast.Float {
+		return val{f: math.Float64frombits(bits)}
+	}
+	return val{i: int64(bits)}
+}
+
+func vmRetBits(ret ast.BasicKind, v val) uint64 {
+	if ret == ast.Float {
+		return math.Float64bits(v.f)
+	}
+	return uint64(v.i)
 }

@@ -168,7 +168,8 @@ func (r *reader) u() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
+	// A final zero byte pads the varint, which marshalRecords never does.
+	if n <= 0 || (n > 1 && r.b[r.off+n-1] == 0) {
 		r.err = true
 		return 0
 	}
@@ -249,7 +250,7 @@ func unmarshalRecords(data []byte) ([]*Record, bool) {
 			for k := 0; k < nc && !r.err; k++ {
 				ch := r.u()
 				cnt := r.u()
-				if int(ch) >= j {
+				if ch >= uint64(j) {
 					// Forward (or self) child reference: structurally invalid.
 					return nil, false
 				}

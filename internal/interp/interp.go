@@ -84,13 +84,6 @@ type Result struct {
 	// exhibited a dynamic loop-carried flow dependence. Only populated in
 	// HCPA mode with Options.TraceDeps set.
 	CarriedDeps []int
-	// BatchedSteps and SlowSteps split a completed HCPA run's steps (edge
-	// phis included; they sum to Steps) on the bytecode VM: BatchedSteps
-	// had their shadow updates replayed from a template by StepBlock,
-	// SlowSteps took one Step each. Both stay 0 on the tree engine, which
-	// always steps singly.
-	BatchedSteps uint64
-	SlowSteps    uint64
 }
 
 // RuntimeError is an execution failure annotated with a source offset.
@@ -602,7 +595,7 @@ func (m *machine) call(f *ir.Func, args []val, argVecs []shadow.Vec, callerFS *k
 				}
 				continue
 			case ir.OpCall:
-				if err := m.doCall(regs, ins, fs); err != nil {
+				if err := m.execCall(regs, ins, fs); err != nil {
 					return val{}, nil, err
 				}
 				continue
@@ -690,7 +683,7 @@ func (m *machine) call(f *ir.Func, args []val, argVecs []shadow.Vec, callerFS *k
 	return retVal, retVec, nil
 }
 
-func (m *machine) doCall(regs []val, ins *ir.Instr, fs *kremlib.FrameState) error {
+func (m *machine) execCall(regs []val, ins *ir.Instr, fs *kremlib.FrameState) error {
 	args := make([]val, len(ins.Args))
 	for i, a := range ins.Args {
 		args[i] = m.value(regs, a)

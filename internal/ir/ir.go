@@ -186,6 +186,30 @@ func (b *Block) Terminator() *Instr {
 	return t
 }
 
+// CheckShape enforces the block-shape rule every engine assumes: the block
+// is non-empty, ends in its one terminator, and its phis form a prefix.
+// irbuild only produces such blocks; the KRIB1 validator rejects any
+// other, and the bytecode compiler treats one as a compiler bug.
+func (b *Block) CheckShape() error {
+	if b.Terminator() == nil {
+		return fmt.Errorf("block %s does not end in a terminator", b)
+	}
+	phiPrefix := true
+	for i, ins := range b.Instrs {
+		if ins.IsTerminator() && i != len(b.Instrs)-1 {
+			return fmt.Errorf("block %s: terminator %s mid-block", b, ins.Op)
+		}
+		if ins.Op == OpPhi {
+			if !phiPrefix {
+				return fmt.Errorf("block %s: phi after non-phi", b)
+			}
+		} else {
+			phiPrefix = false
+		}
+	}
+	return nil
+}
+
 // Global is a module-level variable. Scalars occupy one cell; arrays have
 // constant extents fixed at compile time.
 type Global struct {

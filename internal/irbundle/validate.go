@@ -46,22 +46,8 @@ func validateFunc(f *ir.Func) error {
 
 	// Block shape: non-empty, one terminator, last; phis form a prefix.
 	for _, b := range f.Blocks {
-		t := b.Terminator()
-		if t == nil {
-			return fmt.Errorf("block %s does not end in a terminator", b)
-		}
-		phiPrefix := true
-		for i, ins := range b.Instrs {
-			if ins.IsTerminator() && i != len(b.Instrs)-1 {
-				return fmt.Errorf("block %s: terminator %s mid-block", b, ins.Op)
-			}
-			if ins.Op == ir.OpPhi {
-				if !phiPrefix {
-					return fmt.Errorf("block %s: phi after non-phi", b)
-				}
-			} else {
-				phiPrefix = false
-			}
+		if err := b.CheckShape(); err != nil {
+			return err
 		}
 	}
 

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 )
 
@@ -201,12 +202,9 @@ func (p *Profile) Merge(other *Profile) {
 	}
 }
 
-// The serialized formats. KRPF2 appends a safety-verdict section after the
-// roots; KRPF1 files (without it) still read back.
-const (
-	magic   = "KRPF2\n"
-	magicV1 = "KRPF1\n"
-)
+// magic opens the serialized format, KRPF2: the dictionary, the raw record
+// count, the roots and the per-region safety verdicts.
+const magic = "KRPF2\n"
 
 // WriteTo serializes the profile in a compact varint format.
 func (p *Profile) WriteTo(w io.Writer) (int64, error) {
@@ -256,30 +254,29 @@ func (c *countWriter) Write(b []byte) (int, error) {
 	return len(b), nil
 }
 
-// ReadFrom deserializes a profile written by WriteTo.
+// ReadFrom deserializes a profile written by WriteTo. Profiles are
+// untrusted input, so it accepts exactly what WriteTo writes and rejects
+// anything else with an error: canonical varints, a deduplicated
+// dictionary whose children are normalized runs of earlier entries, roots
+// in range, and nothing after the last section.
 func ReadFrom(r io.Reader) (*Profile, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < len(magic) {
-		return nil, errors.New("profile: bad magic")
-	}
-	version := 0
-	switch string(data[:len(magic)]) {
-	case magic:
-		version = 2
-	case magicV1:
-		version = 1
-	default:
+	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
 		return nil, errors.New("profile: bad magic")
 	}
 	data = data[len(magic):]
 	pos := 0
 	get := func() (uint64, error) {
 		v, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
+		if n == 0 {
 			return 0, fmt.Errorf("profile: truncated at byte %d", pos)
+		}
+		// A final zero byte pads the varint, which WriteTo never does.
+		if n < 0 || (n > 1 && data[pos+n-1] == 0) {
+			return 0, fmt.Errorf("profile: bad varint at byte %d", pos)
 		}
 		pos += n
 		return v, nil
@@ -289,23 +286,28 @@ func ReadFrom(r io.Reader) (*Profile, error) {
 	if err != nil {
 		return nil, err
 	}
+	var kids []Child
 	for i := uint64(0); i < nEntries; i++ {
-		var e Entry
 		sid, err := get()
 		if err != nil {
 			return nil, err
 		}
-		e.StaticID = int32(sid)
-		if e.Work, err = get(); err != nil {
+		if sid > math.MaxInt32 {
+			return nil, fmt.Errorf("profile: entry %d: static region %d out of range", i, sid)
+		}
+		work, err := get()
+		if err != nil {
 			return nil, err
 		}
-		if e.CP, err = get(); err != nil {
+		cp, err := get()
+		if err != nil {
 			return nil, err
 		}
 		nk, err := get()
 		if err != nil {
 			return nil, err
 		}
+		kids = kids[:0]
 		for j := uint64(0); j < nk; j++ {
 			ch, err := get()
 			if err != nil {
@@ -315,12 +317,20 @@ func ReadFrom(r io.Reader) (*Profile, error) {
 			if err != nil {
 				return nil, err
 			}
-			if int32(ch) >= int32(i) {
+			if ch >= i {
 				return nil, fmt.Errorf("profile: entry %d references forward child %d", i, ch)
 			}
-			e.Children = append(e.Children, Child{Char: int32(ch), Count: int64(cnt)})
+			if cnt == 0 || cnt > math.MaxInt64 {
+				return nil, fmt.Errorf("profile: entry %d: bad count %d for child %d", i, cnt, ch)
+			}
+			if n := len(kids); n > 0 && uint64(kids[n-1].Char) == ch {
+				return nil, fmt.Errorf("profile: entry %d repeats child %d in adjacent runs", i, ch)
+			}
+			kids = append(kids, Child{Char: int32(ch), Count: int64(cnt)})
 		}
-		p.Dict.InternRuns(e.StaticID, e.Work, e.CP, e.Children)
+		if c := p.Dict.InternRuns(int32(sid), work, cp, kids); uint64(c) != i {
+			return nil, fmt.Errorf("profile: entry %d duplicates entry %d", i, c)
+		}
 	}
 	raw, err := get()
 	if err != nil {
@@ -341,21 +351,22 @@ func ReadFrom(r io.Reader) (*Profile, error) {
 		}
 		p.AddRoot(int32(r))
 	}
-	if version >= 2 {
-		nSafety, err := get()
+	nSafety, err := get()
+	if err != nil {
+		return nil, err
+	}
+	for i := uint64(0); i < nSafety; i++ {
+		v, err := get()
 		if err != nil {
 			return nil, err
 		}
-		for i := uint64(0); i < nSafety; i++ {
-			v, err := get()
-			if err != nil {
-				return nil, err
-			}
-			if v > 2 {
-				return nil, fmt.Errorf("profile: bad safety verdict %d for region %d", v, i)
-			}
-			p.Safety = append(p.Safety, uint8(v))
+		if v > 2 {
+			return nil, fmt.Errorf("profile: bad safety verdict %d for region %d", v, i)
 		}
+		p.Safety = append(p.Safety, uint8(v))
+	}
+	if pos != len(data) {
+		return nil, fmt.Errorf("profile: %d trailing bytes", len(data)-pos)
 	}
 	return p, nil
 }

@@ -358,6 +358,20 @@ func (p *Program) ProfileSharded(cfg *RunConfig, shards int) (*profile.Profile, 
 	return res.Profile, res, nil
 }
 
+// CheckProfile reports an error unless every dictionary entry of prof
+// names one of p's static regions, as Summarize and Plan assume. A profile
+// read from a file may come from another program, or be crafted; every
+// consumer checks it right after reading.
+func (p *Program) CheckProfile(prof *profile.Profile) error {
+	n := len(p.Regions.Regions)
+	for c, e := range prof.Dict.Entries {
+		if e.StaticID < 0 || int(e.StaticID) >= n {
+			return fmt.Errorf("profile entry %d names static region %d, but the program has %d regions (a profile of another program?)", c, e.StaticID, n)
+		}
+	}
+	return nil
+}
+
 // Summarize aggregates a profile into per-static-region HCPA metrics
 // (work, coverage, self-parallelism, total-parallelism, DOALL detection).
 func (p *Program) Summarize(prof *profile.Profile) *hcpa.Summary {

@@ -3,6 +3,7 @@ package kremlin_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -304,6 +305,93 @@ func TestEngineHCPAPrefixParity(t *testing.T) {
 	if verr.Error() != terr.Error() || partialCounters(vres) != partialCounters(tres) {
 		t.Errorf("heap cap: stops diverged: vm %v %v, tree %v %v", verr, partialCounters(vres), terr, partialCounters(tres))
 	}
+}
+
+// faultProgFmt faults at iteration kd (integer division by zero) or ki
+// (index out of range) of a loop whose long body is one fused block; a
+// knob set past the loop's iterations never fires.
+const faultProgFmt = `
+int kd = %d;
+int ki = %d;
+int a[64];
+int main() {
+	int acc = 1;
+	for (int i = 0; i < %d; i++) {
+		int x = i * 3 + acc %% 7;
+		int y = x * x - i;
+		acc = (acc + y / (kd - i)) %% 1000003;
+		acc = acc + a[i %% 32 + 64 * (i / ki)];
+		a[i %% 64] = acc %% 101;
+		acc = acc + x * 5 - y %% 11;
+	}
+	return acc;
+}
+`
+
+// TestEngineFaultParity pins runtime faults in a fused block that
+// straddles a liveness poll. Such a block runs its exact range, which must
+// report the tree engine's error at the tree engine's step: in plain,
+// gprof and HCPA mode, with no budget and with a budget at the poll, the
+// error text and any partial counters must match between engines.
+func TestEngineFaultParity(t *testing.T) {
+	const never = 1 << 40
+	src := func(kd, ki, n int) string { return fmt.Sprintf(faultProgFmt, kd, ki, n) }
+	steps := func(n int) uint64 {
+		res, err := compileT(t, src(never, never, n)).Run(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Steps
+	}
+	// An iteration costs p steps and the rest of the run c, so the
+	// iteration running step LiveCheckInterval is first or first+1 (c also
+	// counts the loop's exit test and the return).
+	p := steps(2) - steps(1)
+	c := steps(1) - p
+	first := int((limits.LiveCheckInterval - 1 - c) / p)
+	for k := first - 1; k <= first+1; k++ {
+		for _, knobs := range [][2]int{{k, never}, {never, k}} {
+			prog := compileT(t, src(knobs[0], knobs[1], 4*first))
+			for _, budget := range []uint64{0, limits.LiveCheckInterval} {
+				name := fmt.Sprintf("kd=%d ki=%d budget=%d", knobs[0], knobs[1], budget)
+				cfg := func(e kremlin.Engine) *kremlin.RunConfig {
+					return &kremlin.RunConfig{MaxSteps: budget, Engine: e}
+				}
+				vres, verr := prog.Run(cfg(kremlin.EngineVM))
+				tres, terr := prog.Run(cfg(kremlin.EngineTree))
+				faultParity(t, "plain "+name, verr, terr, counters(vres), counters(tres))
+				vres, verr = prog.RunGprof(cfg(kremlin.EngineVM))
+				tres, terr = prog.RunGprof(cfg(kremlin.EngineTree))
+				faultParity(t, "gprof "+name, verr, terr, counters(vres), counters(tres))
+				vres, tres, verr, terr = hcpaBothEngines(prog, interp.Config{MaxSteps: budget})
+				faultParity(t, "hcpa "+name, verr, terr, counters(vres), counters(tres))
+			}
+		}
+	}
+}
+
+// faultParity fails unless both engines stopped with the same error text
+// and the same partial counters.
+func faultParity(t *testing.T, name string, verr, terr error, vc, tc string) {
+	t.Helper()
+	if verr == nil || terr == nil {
+		t.Fatalf("%s: vm err %v, tree err %v; want both to stop", name, verr, terr)
+	}
+	if verr.Error() != terr.Error() {
+		t.Errorf("%s: error text diverged:\nvm:   %v\ntree: %v", name, verr, terr)
+	}
+	if vc != tc {
+		t.Errorf("%s: partial counters diverged: vm %s, tree %s", name, vc, tc)
+	}
+}
+
+// counters renders a stopped run's partial result (nil after a runtime
+// error): steps, work, shadow pages and writes, and the gprof entries.
+func counters(r *interp.Result) string {
+	if r == nil {
+		return "no result"
+	}
+	return fmt.Sprint(partialCounters(r), r.Gprof)
 }
 
 // shadowCapParity profiles p under a shadow-page cap on both engines and
