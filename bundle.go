@@ -4,12 +4,9 @@ import (
 	"bytes"
 	"fmt"
 
-	"kremlin/internal/absint"
 	"kremlin/internal/bytecode"
-	"kremlin/internal/depcheck"
-	"kremlin/internal/instrument"
+	"kremlin/internal/frontcache"
 	"kremlin/internal/irbundle"
-	"kremlin/internal/regions"
 	"kremlin/internal/source"
 )
 
@@ -40,7 +37,13 @@ func IsBundle(data []byte) bool {
 // that decodes but does not lower to verifiable bytecode — so callers
 // (the CLIs' exit codes, the daemon's HTTP taxonomy) treat bundles
 // exactly like source.
-func CompileBundle(data []byte) (p *Program, err error) {
+func CompileBundle(data []byte) (*Program, error) {
+	return CompileBundleWith(data, nil)
+}
+
+// CompileBundleWith is CompileBundle through a front cache scope (see
+// CompileOptions.FrontCache); nil compiles uncached.
+func CompileBundleWith(data []byte, front *frontcache.Scope) (p *Program, err error) {
 	defer func() {
 		// The back-half passes assume compiler-produced IR; the validator
 		// is meant to guarantee that, but a residual panic on a hostile
@@ -53,17 +56,8 @@ func CompileBundle(data []byte) (p *Program, err error) {
 	if derr != nil {
 		return nil, bundleError(StageParse, derr)
 	}
-	facts := absint.Analyze(dec.Module)
-	regs := regions.Analyze(dec.Module, dec.File)
-	vet := depcheck.Analyze(regs, facts)
-	p = &Program{
-		File:    dec.File,
-		Module:  dec.Module,
-		Regions: regs,
-		Instr:   instrument.Build(regs),
-		Vet:     vet,
-		Absint:  facts,
-	}
+	p = &Program{File: dec.File, Module: dec.Module}
+	p.analyze(front)
 	if verr := bytecode.Verify(p.Bytecode()); verr != nil {
 		return nil, bundleError(StageAnalysis, fmt.Errorf("bytecode verification: %w", verr))
 	}

@@ -28,9 +28,13 @@
 package absint
 
 import (
+	"unsafe"
+
 	"kremlin/internal/ast"
 	"kremlin/internal/cfg"
+	"kremlin/internal/frontcache"
 	"kremlin/internal/ir"
+	"kremlin/internal/irhash"
 )
 
 // Analysis size guards: functions beyond the per-function bounds are
@@ -56,22 +60,86 @@ type Facts struct {
 	diags []Diag
 }
 
-// fnFacts is the per-function slice of the result.
+// fnFacts is the per-function slice of the result. It is indexed by value
+// and block IDs and holds no IR pointers or positions, so the front cache
+// shares one value across every program whose function has the same
+// analysis inputs.
 type fnFacts struct {
-	f        *ir.Func
-	reached  []bool             // by block index (cfg order)
-	def      []Val              // value-ID-indexed Val at the definition point
-	inB      map[*ir.Instr]bool // OpView: index proven within bounds
-	nz       map[*ir.Instr]bool // OpBin int Div/Rem: divisor proven nonzero
-	mustIter map[*ir.Block]bool // loop header: body runs ≥1 iteration per entry
-	g        *cfg.Graph
+	def      []Val   // by value ID: Val at the definition point
+	proven   []uint8 // by value ID: provenInBounds / provenNonZero bits
+	mustIter []bool  // by block ID: loop header whose body runs ≥1 iteration per entry
+}
+
+const (
+	provenInBounds uint8 = 1 << iota // OpView: index proven within bounds
+	provenNonZero                    // OpBin int Div/Rem: divisor proven nonzero
+)
+
+// pass1Result is one function's first-pass outcome: whether the fixpoint
+// converged, its return summary, and the abstract arguments of each call
+// site (by call-site ordinal, see callOrder).
+type pass1Result struct {
+	ok   bool
+	ret  Val
+	args []callSiteArgs
+}
+
+// fnResult is one function's final-pass outcome. ok is false when the
+// second fixpoint did not converge: the function then gets no facts and no
+// diagnostics, and keeps its first-pass summary.
+type fnResult struct {
+	ok    bool
+	ret   Val
+	facts *fnFacts
+	diags []diagAt
+}
+
+// valBytes is the size of one Val, for the cache's size estimates.
+const valBytes = int64(unsafe.Sizeof(Val{}))
+
+// Bytes estimates the memory r holds (frontcache.Value).
+func (r *pass1Result) Bytes() int64 {
+	n := int64(48)
+	for _, a := range r.args {
+		n += 56 + int64(len(a.vals))*valBytes
+		for _, ar := range a.arrs {
+			n += 32 + 8*int64(len(ar.dims))
+		}
+	}
+	return n
+}
+
+// Bytes estimates the memory r holds (frontcache.Value).
+func (r *fnResult) Bytes() int64 {
+	n := int64(64)
+	if f := r.facts; f != nil {
+		n += 72 + int64(len(f.def))*valBytes + int64(len(f.proven)) + int64(len(f.mustIter))
+	}
+	for _, d := range r.diags {
+		n += 56 + int64(len(d.kind)+len(d.msg))
+	}
+	return n
+}
+
+// diagAt is a diagnostic anchored to the value ID of the instruction it
+// reports; Fn and Pos are filled in from the current IR.
+type diagAt struct {
+	at        int
+	sev       Severity
+	kind, msg string
 }
 
 // Analyze runs the abstract interpretation over every function of mod.
 // Modules above the maxModInstrs budget get an empty (but valid) fact
 // table: generated mega-programs pay nothing for the analysis, and every
 // consumer degrades to its facts-free behavior.
-func Analyze(mod *ir.Module) *Facts {
+func Analyze(mod *ir.Module) *Facts { return AnalyzeWith(mod, nil) }
+
+// AnalyzeWith is Analyze with a front-cache session: each function's first
+// pass and final pass are looked up under a key built from their exact
+// inputs (see passKey and finalKey) and computed only on a miss. A nil
+// session computes everything; the facts are the same either way.
+func AnalyzeWith(mod *ir.Module, fc *frontcache.Session) *Facts {
 	fa := &Facts{mod: mod, fns: make(map[*ir.Func]*fnFacts)}
 	total := 0
 	for _, f := range mod.Funcs {
@@ -82,35 +150,59 @@ func Analyze(mod *ir.Module) *Facts {
 	if total > maxModInstrs {
 		return fa
 	}
-	order := callOrder(mod)
+	order, calls := callOrder(mod)
 
 	// Pass 1, callee-first with ⊤ parameters: return summaries and
 	// call-site argument values.
 	sums := make(map[*ir.Func]Val)
-	pass1 := make(map[*ir.Func]*fnAnalysis)
-	for _, f := range order {
-		an := newFnAnalysis(f, sums, nil, nil)
-		if an == nil || !an.fixpoint() {
-			continue
+	pass1 := make(map[*ir.Func]*pass1Result, len(order))
+	states := make(map[*ir.Func]*fnAnalysis) // pass-1 states computed in this run
+	var keys1 map[*ir.Func]frontcache.Key
+	var rank map[*ir.Func]int // position in order
+	if fc != nil {
+		keys1 = make(map[*ir.Func]frontcache.Key, len(order))
+		rank = make(map[*ir.Func]int, len(order))
+		for i, f := range order {
+			rank[f] = i
 		}
-		an.collectCalls()
-		sums[f] = an.retVal
-		pass1[f] = an
+	}
+	for _, f := range order {
+		var p1 *pass1Result
+		if fc != nil {
+			k := passKey(fc, f, calls[f], sums)
+			keys1[f] = k
+			if v, ok := fc.Get(k); ok {
+				p1 = v.(*pass1Result)
+			}
+		}
+		if p1 == nil {
+			an := newFnAnalysis(f, sums, nil, nil)
+			if an == nil || !an.fixpoint() {
+				p1 = &pass1Result{}
+			} else {
+				p1 = &pass1Result{ok: true, args: an.collectCalls(calls[f])}
+				p1.ret = an.retVal
+				states[f] = an
+			}
+			if fc != nil {
+				fc.Put(keys1[f], p1)
+			}
+		}
+		pass1[f] = p1
+		if p1.ok {
+			sums[f] = p1.ret
+		}
 	}
 
 	// A caller that was skipped (size guard or non-convergence) recorded no
 	// call-site arguments, so its callees must keep ⊤ parameters.
 	forceTop := make(map[*ir.Func]bool)
 	for _, f := range order {
-		if pass1[f] != nil {
+		if pass1[f].ok {
 			continue
 		}
-		for _, b := range f.Blocks {
-			for _, ins := range b.Instrs {
-				if ins.Op == ir.OpCall && ins.Callee != nil {
-					forceTop[ins.Callee] = true
-				}
-			}
+		for _, call := range calls[f] {
+			forceTop[call.Callee] = true
 		}
 	}
 
@@ -119,11 +211,15 @@ func Analyze(mod *ir.Module) *Facts {
 	paramVals := make(map[*ir.Func][]Val)
 	paramArrs := make(map[*ir.Func][]arrInfo)
 	for _, f := range order {
-		an := pass1[f]
-		if an == nil {
+		p1 := pass1[f]
+		if !p1.ok {
 			continue
 		}
-		for call, args := range an.callArgs {
+		for ci, call := range calls[f] {
+			args := p1.args[ci]
+			if !args.reached {
+				continue
+			}
 			callee := call.Callee
 			pv := paramVals[callee]
 			pa := paramArrs[callee]
@@ -153,56 +249,182 @@ func Analyze(mod *ir.Module) *Facts {
 	}
 
 	// Pass 2, callee-first again with refined parameters; summaries are
-	// re-refined as we go so callers see pass-2 callee ranges. When the
-	// refined parameters add nothing over the type tops and no callee
-	// summary moved, the pass-2 fixpoint would reproduce pass 1's states
-	// instruction for instruction — reuse them and skip straight to the
-	// narrowing and fact-derivation passes.
+	// re-refined as we go so callers see pass-2 callee ranges.
 	changedSum := make(map[*ir.Func]bool)
 	for _, f := range order {
-		if pass1[f] == nil {
+		p1 := pass1[f]
+		if !p1.ok {
 			continue
 		}
 		pv, pa := paramVals[f], paramArrs[f]
 		if forceTop[f] {
 			pv, pa = nil, nil
 		}
-		uninformative := true
-		if pv != nil {
-			for i, p := range f.Params {
-				tt := typeTop(p.Typ.Elem, p.Typ.Dims)
-				if !sameVal(tt.Meet(pv[i]), tt) || pa[i].dims != nil {
-					uninformative = false
-					break
-				}
-			}
-		}
 		calleeMoved := false
-		for call := range pass1[f].callArgs {
-			if changedSum[call.Callee] {
+		for ci, call := range calls[f] {
+			if p1.args[ci].reached && changedSum[call.Callee] {
 				calleeMoved = true
 				break
 			}
 		}
-		an := pass1[f]
-		if !uninformative || calleeMoved {
-			an = pass1[f].reset(pv, pa)
-			if !an.fixpoint() {
-				continue
+		var res *fnResult
+		var k frontcache.Key
+		if fc != nil {
+			k = finalKey(fc, keys1[f], calls[f], sums, pv, pa, calleeMoved)
+			if v, ok := fc.Get(k); ok {
+				res = v.(*fnResult)
 			}
 		}
-		an.narrow()
-		if !sameVal(sums[f], an.retVal) {
+		if res == nil {
+			an := states[f]
+			if an == nil {
+				// The first pass was a cache hit: recompute its states
+				// against the summaries it saw (earlier functions' first
+				// passes), then let the final pass read the live ones.
+				an = newFnAnalysis(f, pass1View(rank, f, calls[f], pass1), nil, nil)
+				an.fixpoint()
+				an.sums, an.retVal = sums, p1.ret
+			}
+			res = an.finalPass(pv, pa, calleeMoved)
+			if fc != nil {
+				fc.Put(k, res)
+			}
+		}
+		if !res.ok {
+			continue
+		}
+		if !sameVal(p1.ret, res.ret) {
 			changedSum[f] = true
 		}
-		sums[f] = an.retVal
-		ff := an.finalize()
-		fa.fns[f] = ff
-		fa.diags = append(fa.diags, an.diags...)
+		sums[f] = res.ret
+		fa.fns[f] = res.facts
+		fa.diags = placeDiags(fa.diags, f, res.diags)
 	}
 	fa.diags = append(fa.diags, deadStoreDiags(mod)...)
 	sortDiags(fa.diags)
 	return fa
+}
+
+// finalPass runs a function's second interprocedural pass from its
+// converged first-pass state. When the refined parameters add nothing over
+// the type tops and no callee summary moved, the pass-2 fixpoint would
+// reproduce pass 1's states instruction for instruction — reuse them and
+// skip straight to the narrowing and fact-derivation passes.
+func (an *fnAnalysis) finalPass(pv []Val, pa []arrInfo, calleeMoved bool) *fnResult {
+	uninformative := true
+	if pv != nil {
+		for i, p := range an.f.Params {
+			tt := typeTop(p.Typ.Elem, p.Typ.Dims)
+			if !sameVal(tt.Meet(pv[i]), tt) || pa[i].dims != nil {
+				uninformative = false
+				break
+			}
+		}
+	}
+	if !uninformative || calleeMoved {
+		an = an.reset(pv, pa)
+		if !an.fixpoint() {
+			return &fnResult{}
+		}
+	}
+	an.narrow()
+	ret := an.retVal
+	// The fact sweep sees the function's own final summary at recursive
+	// call sites, as its callers will.
+	an.sums[an.f] = ret
+	ff, diags := an.finalize()
+	return &fnResult{ok: true, ret: ret, facts: ff, diags: diags}
+}
+
+// pass1View rebuilds the summaries f's first pass read: those of callees
+// earlier in order whose own first pass converged.
+func pass1View(rank map[*ir.Func]int, f *ir.Func, calls []*ir.Instr, pass1 map[*ir.Func]*pass1Result) map[*ir.Func]Val {
+	view := make(map[*ir.Func]Val)
+	for _, call := range calls {
+		if c := call.Callee; rank[c] < rank[f] && pass1[c].ok {
+			view[c] = pass1[c].ret
+		}
+	}
+	return view
+}
+
+// placeDiags appends f's anchored diagnostics to out with the function
+// name and the anchors' current source positions.
+func placeDiags(out []Diag, f *ir.Func, ds []diagAt) []Diag {
+	if len(ds) == 0 {
+		return out
+	}
+	pos := make(map[int]int)
+	for _, b := range f.Blocks {
+		for _, ins := range b.Instrs {
+			pos[ins.ID] = ins.Pos
+		}
+	}
+	for _, d := range ds {
+		out = append(out, Diag{Fn: f.Name, Pos: pos[d.at], Severity: d.sev, Kind: d.kind, Msg: d.msg})
+	}
+	return out
+}
+
+// passKey is the front-cache key of f's first pass: everything the pass
+// reads. That is f's own canonical IR (its local sum, which covers the
+// globals it touches and its callees' names), the value-ID space and
+// parameter IDs the size guards and entry state use, whether f is main,
+// and the summary each call site sees — absent until the callee's own
+// first pass has converged.
+func passKey(fc *frontcache.Session, f *ir.Func, calls []*ir.Instr, sums map[*ir.Func]Val) frontcache.Key {
+	local := fc.Local(f)
+	c := &irhash.Canon{Buf: make([]byte, 0, 64+24*len(calls))}
+	c.S("absint-pass1")
+	c.Buf = append(c.Buf, local[:]...)
+	c.B(f.Name == "main")
+	c.U(uint64(f.NumValues()))
+	for _, p := range f.Params {
+		c.U(uint64(p.ID))
+	}
+	encodeSums(c, calls, sums)
+	return fc.Key(c.Buf)
+}
+
+// finalKey is the front-cache key of f's final pass: the first-pass key
+// (the reused pass-1 states depend on exactly its inputs), the joined
+// parameter facts, whether a callee summary moved, and the summary each
+// call site sees now.
+func finalKey(fc *frontcache.Session, key1 frontcache.Key, calls []*ir.Instr, sums map[*ir.Func]Val, pv []Val, pa []arrInfo, calleeMoved bool) frontcache.Key {
+	c := &irhash.Canon{Buf: make([]byte, 0, 64+24*len(calls))}
+	c.S("absint-final")
+	c.Buf = append(c.Buf, key1[:]...)
+	c.B(pv != nil)
+	for i := range pv {
+		encodeVal(c, pv[i])
+		c.B(pa[i].dims != nil)
+		c.U(uint64(len(pa[i].dims)))
+		for _, d := range pa[i].dims {
+			c.I(d)
+		}
+		c.B(pa[i].exact)
+	}
+	c.B(calleeMoved)
+	encodeSums(c, calls, sums)
+	return fc.Key(c.Buf)
+}
+
+func encodeSums(c *irhash.Canon, calls []*ir.Instr, sums map[*ir.Func]Val) {
+	c.U(uint64(len(calls)))
+	for _, call := range calls {
+		s, ok := sums[call.Callee]
+		c.B(ok)
+		if ok {
+			encodeVal(c, s)
+		}
+	}
+}
+
+func encodeVal(c *irhash.Canon, v Val) {
+	c.I(v.I.Lo)
+	c.I(v.I.Hi)
+	c.I(v.M)
+	c.I(v.R)
 }
 
 // InBounds reports whether the view's index is proven within the viewed
@@ -212,7 +434,7 @@ func (fa *Facts) InBounds(view *ir.Instr) bool {
 		return false
 	}
 	ff := fa.fns[view.Block.Func]
-	return ff != nil && ff.inB[view]
+	return ff != nil && view.ID < len(ff.proven) && ff.proven[view.ID]&provenInBounds != 0
 }
 
 // NonZeroDivisor reports whether the int division/remainder's divisor is
@@ -222,7 +444,7 @@ func (fa *Facts) NonZeroDivisor(bin *ir.Instr) bool {
 		return false
 	}
 	ff := fa.fns[bin.Block.Func]
-	return ff != nil && ff.nz[bin]
+	return ff != nil && bin.ID < len(ff.proven) && ff.proven[bin.ID]&provenNonZero != 0
 }
 
 // ValueOf returns the abstract value of v at its definition point.
@@ -256,7 +478,7 @@ func (fa *Facts) MustIterate(header *ir.Block) bool {
 		return false
 	}
 	ff := fa.fns[header.Func]
-	return ff != nil && ff.mustIter[header]
+	return ff != nil && header.ID < len(ff.mustIter) && ff.mustIter[header.ID]
 }
 
 // Diagnostics returns every lint finding, ordered by function then
@@ -284,9 +506,12 @@ func (fa *Facts) Errors() []Diag {
 }
 
 // callOrder is a deterministic callee-first (DFS postorder) ordering of
-// every function — the same bottom-up order the mod/ref summaries use.
-func callOrder(mod *ir.Module) []*ir.Func {
+// every function — the same bottom-up order the mod/ref summaries use —
+// plus each function's call sites with a callee, in block order. A call
+// site's index in that list is its ordinal.
+func callOrder(mod *ir.Module) ([]*ir.Func, map[*ir.Func][]*ir.Instr) {
 	var order []*ir.Func
+	calls := make(map[*ir.Func][]*ir.Instr, len(mod.Funcs))
 	seen := make(map[*ir.Func]bool)
 	var visit func(f *ir.Func)
 	visit = func(f *ir.Func) {
@@ -294,20 +519,25 @@ func callOrder(mod *ir.Module) []*ir.Func {
 			return
 		}
 		seen[f] = true
+		var cs []*ir.Instr
 		for _, b := range f.Blocks {
 			for _, ins := range b.Instrs {
-				if ins.Op == ir.OpCall && ins.Callee != nil {
+				if isCallSite(ins) {
+					cs = append(cs, ins)
 					visit(ins.Callee)
 				}
 			}
 		}
+		calls[f] = cs
 		order = append(order, f)
 	}
 	for _, f := range mod.Funcs {
 		visit(f)
 	}
-	return order
+	return order, calls
 }
+
+func isCallSite(ins *ir.Instr) bool { return ins.Op == ir.OpCall && ins.Callee != nil }
 
 // arrInfo is the guaranteed shape of an array value: a lower bound per
 // dimension (0 = unknown), exact when the true extents are known.
@@ -336,10 +566,12 @@ func (a arrInfo) join(b arrInfo) arrInfo {
 	return out
 }
 
-// callArgs records one reachable call site's abstract arguments.
+// callSiteArgs records one call site's abstract arguments; reached is
+// false for a call site in a block the fixpoint never reached.
 type callSiteArgs struct {
-	vals []Val
-	arrs []arrInfo
+	reached bool
+	vals    []Val
+	arrs    []arrInfo
 }
 
 // fnAnalysis is the in-flight per-function fixpoint state.
@@ -364,9 +596,7 @@ type fnAnalysis struct {
 	phiIDs  []int
 	phiVals []Val
 
-	retVal   Val
-	callArgs map[*ir.Instr]callSiteArgs
-	diags    []Diag
+	retVal Val
 }
 
 func newFnAnalysis(f *ir.Func, sums map[*ir.Func]Val, params []Val, paramArr []arrInfo) *fnAnalysis {
@@ -1112,21 +1342,28 @@ func (an *fnAnalysis) evalBuiltin(env []Val, ins *ir.Instr) Val {
 	return typeTop(ins.Typ.Elem, ins.Typ.Dims)
 }
 
-// collectCalls records abstract arguments of every reachable call site
-// (pass 1) for the interprocedural parameter join.
-func (an *fnAnalysis) collectCalls() {
-	an.callArgs = make(map[*ir.Instr]callSiteArgs)
+// collectCalls records the abstract arguments of every reachable call
+// site (pass 1) for the interprocedural parameter join, indexed like calls
+// (f's call sites in block order).
+func (an *fnAnalysis) collectCalls(calls []*ir.Instr) []callSiteArgs {
+	out := make([]callSiteArgs, len(calls))
 	an.retVal = BotVal() // rebuilt from the converged envs by the sweep below
+	ci := 0
 	for bi, b := range an.g.Blocks {
 		if an.in[bi] == nil {
+			for _, ins := range b.Instrs {
+				if isCallSite(ins) {
+					ci++
+				}
+			}
 			continue
 		}
 		env := cloneEnv(an.in[bi])
 		an.transfer(env, b, func(ins *ir.Instr, _ Val, _ bool) {
-			if ins.Op != ir.OpCall || ins.Callee == nil {
+			if !isCallSite(ins) {
 				return
 			}
-			ca := callSiteArgs{}
+			ca := callSiteArgs{reached: true}
 			for _, arg := range ins.Args {
 				t := arg.Type()
 				if t.Dims > 0 {
@@ -1151,7 +1388,9 @@ func (an *fnAnalysis) collectCalls() {
 				ca.arrs = append(ca.arrs, arrInfo{})
 				ca.vals = append(ca.vals, an.evalValue(env, arg).Meet(typeTop(t.Elem, t.Dims)))
 			}
-			an.callArgs[ins] = ca
+			out[ci] = ca
+			ci++
 		})
 	}
+	return out
 }

@@ -79,49 +79,52 @@ func fmtVal(v Val) string {
 // finalize runs one reporting sweep over the converged environments:
 // it fills the per-function fact tables (definition values, proven
 // in-bounds views, proven nonzero divisors, must-iterate loops) and
-// collects definite-fault and unreachable-code diagnostics.
-func (an *fnAnalysis) finalize() *fnFacts {
+// collects definite-fault and unreachable-code diagnostics, anchored to
+// the value IDs of the instructions they report.
+func (an *fnAnalysis) finalize() (*fnFacts, []diagAt) {
+	maxBlock := 0
+	for _, b := range an.f.Blocks {
+		if b.ID > maxBlock {
+			maxBlock = b.ID
+		}
+	}
 	ff := &fnFacts{
-		f:        an.f,
-		g:        an.g,
-		reached:  make([]bool, len(an.g.Blocks)),
 		def:      make([]Val, an.nv),
-		inB:      make(map[*ir.Instr]bool),
-		nz:       make(map[*ir.Instr]bool),
-		mustIter: make(map[*ir.Block]bool),
+		proven:   make([]uint8, an.nv),
+		mustIter: make([]bool, maxBlock+1),
 	}
 	for i := range ff.def {
 		ff.def[i] = TopVal()
 	}
 	an.retVal = BotVal() // rebuilt from converged envs by the sweep below
 
+	var diags []diagAt
 	ipdom := an.g.Postdominators()
 	entry := an.g.Index(an.f.Entry())
 	isMain := an.f.Name == "main"
 	// definite marks a fault diagnostic, upgrading to error severity when
 	// it sits on main's must-execute path (the block postdominates entry).
-	definite := func(bi int, pos int, kind, msg string) {
+	definite := func(bi int, ins *ir.Instr, kind, msg string) {
 		sev := SevWarn
 		if isMain && cfg.Dominates(ipdom, bi, entry) {
 			sev = SevError
 		}
-		an.diags = append(an.diags, Diag{Fn: an.f.Name, Pos: pos, Severity: sev, Kind: kind, Msg: msg})
+		diags = append(diags, diagAt{at: ins.ID, sev: sev, kind: kind, msg: msg})
 	}
-	warn := func(pos int, kind, msg string) {
-		an.diags = append(an.diags, Diag{Fn: an.f.Name, Pos: pos, Severity: SevWarn, Kind: kind, Msg: msg})
+	warn := func(ins *ir.Instr, kind, msg string) {
+		diags = append(diags, diagAt{at: ins.ID, sev: SevWarn, kind: kind, msg: msg})
 	}
 
 	for bi, b := range an.g.Blocks {
 		if an.in[bi] == nil {
 			for _, ins := range b.Instrs {
 				if ins.Pos > 0 {
-					warn(ins.Pos, KindUnreachable, "unreachable code (condition can never hold)")
+					warn(ins, KindUnreachable, "unreachable code (condition can never hold)")
 					break
 				}
 			}
 			continue
 		}
-		ff.reached[bi] = true
 		env := cloneEnv(an.in[bi])
 		wrapped := make(map[*ir.Instr]bool)
 		an.transfer(env, b, func(ins *ir.Instr, v Val, wrap bool) {
@@ -138,33 +141,33 @@ func (an *fnAnalysis) finalize() *fnFacts {
 				if ok && len(dims) > 0 {
 					d := dims[0]
 					if idx.I.Lo >= 0 && d.I.Lo != posInf && idx.I.Hi < d.I.Lo {
-						ff.inB[ins] = true
+						ff.proven[ins.ID] |= provenInBounds
 					}
 					if exact {
 						if c, isC := d.IsConst(); isC && (idx.I.Hi < 0 || idx.I.Lo >= c) {
-							definite(bi, ins.Pos, KindOOBIndex,
+							definite(bi, ins, KindOOBIndex,
 								fmt.Sprintf("index %s is always out of range [0,%d)", fmtVal(idx), c))
 							break
 						}
 					}
 				}
 				if idx.I.Hi < 0 {
-					definite(bi, ins.Pos, KindOOBIndex,
+					definite(bi, ins, KindOOBIndex,
 						fmt.Sprintf("index %s is always negative", fmtVal(idx)))
 				}
 				if x, isI := ins.Args[1].(*ir.Instr); isI && wrapped[x] {
-					warn(ins.Pos, KindIdxOverflow, "index arithmetic may overflow int64")
+					warn(ins, KindIdxOverflow, "index arithmetic may overflow int64")
 				}
 			case ir.OpBin:
 				if (ins.Bin == ir.BinDiv || ins.Bin == ir.BinRem) && ins.Typ.Elem == ast.Int {
 					dv := an.evalValue(env, ins.Args[1])
 					if dv.NonZero() {
-						ff.nz[ins] = true
+						ff.proven[ins.ID] |= provenNonZero
 					} else if c, isC := dv.IsConst(); isC && c == 0 {
 						if ins.Bin == ir.BinDiv {
-							definite(bi, ins.Pos, KindDivZero, "integer division by zero")
+							definite(bi, ins, KindDivZero, "integer division by zero")
 						} else {
-							definite(bi, ins.Pos, KindModZero, "integer modulo by zero")
+							definite(bi, ins, KindModZero, "integer modulo by zero")
 						}
 					}
 				}
@@ -172,7 +175,7 @@ func (an *fnAnalysis) finalize() *fnFacts {
 				for di, a := range ins.Args {
 					ev := an.evalValue(env, a)
 					if ev.I.Hi < 1 {
-						definite(bi, ins.Pos, KindAllocExtent,
+						definite(bi, ins, KindAllocExtent,
 							fmt.Sprintf("array dimension %d extent %s is never positive", di, fmtVal(ev)))
 					}
 				}
@@ -181,7 +184,7 @@ func (an *fnAnalysis) finalize() *fnFacts {
 					if dims, _, ok := an.arrDims(env, ins.Args[0]); ok {
 						kv := an.evalValue(env, ins.Args[1])
 						if c, isC := kv.IsConst(); isC && (c < 0 || c >= int64(len(dims))) {
-							definite(bi, ins.Pos, KindDimOOB,
+							definite(bi, ins, KindDimOOB,
 								fmt.Sprintf("dim index %d out of range (array has %d dimensions)", c, len(dims)))
 						}
 					}
@@ -234,10 +237,10 @@ func (an *fnAnalysis) finalize() *fnFacts {
 			}
 		}
 		if target != nil && l.Contains(target) {
-			ff.mustIter[h] = true
+			ff.mustIter[h.ID] = true
 		}
 	}
-	return ff
+	return ff, diags
 }
 
 // deadStoreDiags finds arrays and globals that are written but never

@@ -42,6 +42,7 @@ import (
 
 	"kremlin/internal/absint"
 	"kremlin/internal/cfg"
+	"kremlin/internal/frontcache"
 	"kremlin/internal/ir"
 	"kremlin/internal/regions"
 	"kremlin/internal/source"
@@ -145,8 +146,15 @@ func (r *Result) Counts() (parallel, serial, unknown int) {
 // inner induction subscripts) and never downgrades one. Passing nil
 // facts reproduces the facts-free analysis.
 func Analyze(prog *regions.Program, facts *absint.Facts) *Result {
+	return AnalyzeWith(prog, facts, nil)
+}
+
+// AnalyzeWith is Analyze with a front-cache session for the mod/ref
+// summaries (see summaryCache); a nil session computes them all. The
+// result is the same either way.
+func AnalyzeWith(prog *regions.Program, facts *absint.Facts, fc *frontcache.Session) *Result {
 	res := &Result{ByRegion: make(map[int]*LoopReport)}
-	sums := Summarize(prog.Module)
+	sums := summarize(prog, fc)
 	binds := bindParams(prog.Module)
 	fas := make(map[*ir.Func]*funcAnalysis)
 	for _, r := range prog.Regions {
@@ -156,7 +164,7 @@ func Analyze(prog *regions.Program, facts *absint.Facts) *Result {
 		fi := prog.PerFunc[r.Func]
 		fa := fas[r.Func]
 		if fa == nil {
-			fa = newFuncAnalysis(r.Func, sums, facts, binds)
+			fa = newFuncAnalysis(fi, sums, facts, binds)
 			fas[r.Func] = fa
 		}
 		rep := fa.checkLoop(fi.LoopOf[r], r, prog.Src)
@@ -179,18 +187,20 @@ type funcAnalysis struct {
 	encl  map[*ir.Block]*cfg.Loop // innermost loop containing each block
 }
 
-func newFuncAnalysis(f *ir.Func, sums map[*ir.Func]*Summary, facts *absint.Facts, binds map[*ir.Instr]*bindSet) *funcAnalysis {
+// newFuncAnalysis reuses the CFG, dominators and loop forest the region
+// analysis built for the function.
+func newFuncAnalysis(fi *regions.FuncInfo, sums map[*ir.Func]*Summary, facts *absint.Facts, binds map[*ir.Instr]*bindSet) *funcAnalysis {
+	f := fi.Func
 	fa := &funcAnalysis{
-		f: f, sums: sums, g: cfg.New(f), pos: make(map[*ir.Instr]int),
+		f: f, sums: sums, g: fi.Graph, idom: fi.Idom, pos: make(map[*ir.Instr]int),
 		facts: facts, binds: binds, encl: make(map[*ir.Block]*cfg.Loop),
 	}
-	fa.idom = fa.g.Dominators()
 	for _, b := range f.Blocks {
 		for i, ins := range b.Instrs {
 			fa.pos[ins] = i
 		}
 	}
-	for _, lp := range fa.g.Loops(fa.idom) {
+	for _, lp := range fi.Loops {
 		for _, b := range lp.Blocks {
 			if cur := fa.encl[b]; cur == nil || lp.Depth > cur.Depth {
 				fa.encl[b] = lp

@@ -5,10 +5,14 @@
 package depcheck
 
 import (
+	"crypto/sha256"
 	"sort"
 
 	"kremlin/internal/cfg"
+	"kremlin/internal/frontcache"
 	"kremlin/internal/ir"
+	"kremlin/internal/irhash"
+	"kremlin/internal/regions"
 )
 
 // Summary is the mod/ref summary of one function, at whole-object
@@ -124,34 +128,76 @@ func (s *sumBuild) merge(o *sumBuild) bool {
 	return changed
 }
 
-// Summarize computes the mod/ref summary of every function in m.
-func Summarize(m *ir.Module) map[*ir.Func]*Summary {
+// funcCFG is the control-flow view a summary scan reads.
+type funcCFG struct {
+	g     *cfg.Graph
+	idom  []int
+	exits []int // blocks without successors
+}
+
+// summarize computes the mod/ref summary of every function of prog,
+// strongly connected component by component, callees first. Both phases
+// are monotone (sets only grow), so iterating each component to its own
+// fixpoint, against the final summaries of the components it calls,
+// reaches the same least fixpoint a whole-module iteration would; a
+// component without recursion needs one scan per phase. The scans use the
+// CFGs and dominators the region analysis built. fc, when non-nil, caches
+// each function's summary (see summaryCache).
+func summarize(prog *regions.Program, fc *frontcache.Session) map[*ir.Func]*Summary {
+	m := prog.Module
+	cgr := irhash.Calls(m)
 	builds := make(map[*ir.Func]*sumBuild, len(m.Funcs))
-	for _, f := range m.Funcs {
-		builds[f] = newSumBuild()
-	}
-	// Phase 1: the may/must effect sets. Monotone (sets only grow), so the
-	// fixpoint terminates and handles recursion.
-	for changed := true; changed; {
-		changed = false
-		for _, f := range m.Funcs {
-			if builds[f].merge(scanFunc(f, builds)) {
-				changed = true
+	cfgOf := func(f *ir.Func) *funcCFG {
+		fi := prog.PerFunc[f]
+		c := &funcCFG{g: fi.Graph, idom: fi.Idom}
+		for i, b := range f.Blocks {
+			if len(b.Succs) == 0 {
+				c.exits = append(c.exits, i)
 			}
 		}
+		return c
 	}
-	// Phase 2: exposed reads. Exposure shrinks as may-write sets grow, so it
-	// must run after phase 1 has converged; against the final may-writes it
-	// is again a growing (monotone) fixpoint.
-	for changed := true; changed; {
-		changed = false
-		for _, f := range m.Funcs {
-			for _, g := range exposedScan(f, builds) {
-				if !builds[f].exposedG[g] {
-					builds[f].exposedG[g] = true
+	var sc *summaryCache
+	if fc != nil {
+		sc = newSummaryCache(m, cgr, fc)
+	}
+	for _, comp := range cgr.SCCs {
+		recursive := len(comp) > 1 || cgr.Recursive(comp[0])
+		if sc != nil && sc.load(comp, recursive, builds) {
+			continue
+		}
+		cfgs := make([]*funcCFG, len(comp))
+		for i, f := range comp {
+			builds[f] = newSumBuild()
+			cfgs[i] = cfgOf(f)
+		}
+		// Phase 1: the may/must effect sets.
+		for changed := true; changed; {
+			changed = false
+			for i, f := range comp {
+				if builds[f].merge(scanFunc(f, cfgs[i], builds)) {
 					changed = true
 				}
 			}
+			changed = changed && recursive
+		}
+		// Phase 2: exposed reads. Exposure shrinks as may-write sets grow,
+		// so it runs after phase 1 has converged; against the final
+		// may-writes it is again a growing (monotone) fixpoint.
+		for changed := true; changed; {
+			changed = false
+			for i, f := range comp {
+				for _, g := range exposedScan(f, cfgs[i], builds) {
+					if !builds[f].exposedG[g] {
+						builds[f].exposedG[g] = true
+						changed = true
+					}
+				}
+			}
+			changed = changed && recursive
+		}
+		if sc != nil {
+			sc.store(comp, builds)
 		}
 	}
 	out := make(map[*ir.Func]*Summary, len(m.Funcs))
@@ -163,16 +209,9 @@ func Summarize(m *ir.Module) map[*ir.Func]*Summary {
 
 // scanFunc computes f's summary from its body and the current summaries of
 // its callees.
-func scanFunc(f *ir.Func, builds map[*ir.Func]*sumBuild) *sumBuild {
+func scanFunc(f *ir.Func, c *funcCFG, builds map[*ir.Func]*sumBuild) *sumBuild {
 	s := newSumBuild()
-	g := cfg.New(f)
-	idom := g.Dominators()
-	var exits []int
-	for i, b := range f.Blocks {
-		if len(b.Succs) == 0 {
-			exits = append(exits, i)
-		}
-	}
+	g, idom, exits := c.g, c.idom, c.exits
 	// dominatesExits: the instruction executes on every call that returns.
 	dominatesExits := func(ins *ir.Instr) bool {
 		bi := g.Index(ins.Block)
@@ -279,15 +318,8 @@ func scanFunc(f *ir.Func, builds map[*ir.Func]*sumBuild) *sumBuild {
 // exposedScan returns the scalar globals that f definitely reads before any
 // possible write on every returning call, given the converged may-write
 // summaries and the callees' current exposure sets.
-func exposedScan(f *ir.Func, builds map[*ir.Func]*sumBuild) []*ir.Global {
-	g := cfg.New(f)
-	idom := g.Dominators()
-	var exits []int
-	for i, b := range f.Blocks {
-		if len(b.Succs) == 0 {
-			exits = append(exits, i)
-		}
-	}
+func exposedScan(f *ir.Func, c *funcCFG, builds map[*ir.Func]*sumBuild) []*ir.Global {
+	g, idom, exits := c.g, c.idom, c.exits
 	if len(exits) == 0 {
 		return nil
 	}
@@ -421,4 +453,178 @@ func sortInts(set map[int]bool) []int {
 	}
 	sort.Ints(out)
 	return out
+}
+
+// summaryCache keeps mod/ref summaries in the front cache.
+//
+// A function outside recursion is keyed on its exact inputs: its local
+// content sum and the digest of each distinct callee's summary, in
+// first-call order. A member of a recursive component reads summaries that
+// depend on its own, so it is keyed on its transitive content key, which
+// covers the component and everything it calls. Entries name globals
+// rather than point to them; a hit resolves the names in the current
+// module.
+type summaryCache struct {
+	fc      *frontcache.Session
+	calls   *irhash.CallGraph
+	globals map[string]*ir.Global
+	digests map[*ir.Func][32]byte
+	keys    map[*ir.Func]frontcache.Key
+}
+
+// summaryEntry is one cached summary. digest covers everything a caller's
+// scan reads from it, globals by name, element type and extents.
+type summaryEntry struct {
+	readG, writeG, mustWG, exposedG []string
+	readP, writeP                   []int
+	impure, rng, uncond, opaque     bool
+	digest                          [32]byte
+}
+
+// Bytes estimates the memory e holds (frontcache.Value).
+func (e *summaryEntry) Bytes() int64 {
+	n := int64(200 + 8*(len(e.readP)+len(e.writeP)))
+	for _, names := range [][]string{e.readG, e.writeG, e.mustWG, e.exposedG} {
+		for _, s := range names {
+			n += 16 + int64(len(s))
+		}
+	}
+	return n
+}
+
+func newSummaryCache(m *ir.Module, calls *irhash.CallGraph, fc *frontcache.Session) *summaryCache {
+	sc := &summaryCache{
+		fc:      fc,
+		calls:   calls,
+		globals: make(map[string]*ir.Global, len(m.Globals)),
+		digests: make(map[*ir.Func][32]byte, len(m.Funcs)),
+		keys:    make(map[*ir.Func]frontcache.Key, len(m.Funcs)),
+	}
+	for _, g := range m.Globals {
+		sc.globals[g.Name] = g
+	}
+	return sc
+}
+
+func (sc *summaryCache) key(f *ir.Func, recursive bool) frontcache.Key {
+	c := &irhash.Canon{}
+	if recursive {
+		k := sc.fc.Hashes.Funcs[f].Key
+		c.S("modref-scc")
+		c.Buf = append(c.Buf, k[:]...)
+		return sc.fc.Key(c.Buf)
+	}
+	local := sc.fc.Local(f)
+	c.S("modref")
+	c.Buf = append(c.Buf, local[:]...)
+	for _, g := range sc.calls.Callees[f] {
+		d := sc.digests[g]
+		c.Buf = append(c.Buf, d[:]...)
+	}
+	return sc.fc.Key(c.Buf)
+}
+
+// load fills builds for every member of comp from the cache and reports
+// whether all of them hit; on any miss the component is recomputed whole.
+func (sc *summaryCache) load(comp []*ir.Func, recursive bool, builds map[*ir.Func]*sumBuild) bool {
+	entries := make([]*summaryEntry, len(comp))
+	hit := true
+	for i, f := range comp {
+		k := sc.key(f, recursive)
+		sc.keys[f] = k
+		if v, ok := sc.fc.Get(k); ok {
+			entries[i] = v.(*summaryEntry)
+		} else {
+			hit = false
+		}
+	}
+	if !hit {
+		return false
+	}
+	for i, f := range comp {
+		e := entries[i]
+		builds[f] = &sumBuild{
+			readG: sc.globalSet(e.readG), writeG: sc.globalSet(e.writeG),
+			mustWG: sc.globalSet(e.mustWG), exposedG: sc.globalSet(e.exposedG),
+			readP: intSet(e.readP), writeP: intSet(e.writeP),
+			impure: e.impure, rng: e.rng, uncond: e.uncond, opaque: e.opaque,
+		}
+		sc.digests[f] = e.digest
+	}
+	return true
+}
+
+// store caches the freshly computed summaries of comp.
+func (sc *summaryCache) store(comp []*ir.Func, builds map[*ir.Func]*sumBuild) {
+	for _, f := range comp {
+		s := builds[f]
+		e := &summaryEntry{
+			readP: sortInts(s.readP), writeP: sortInts(s.writeP),
+			impure: s.impure, rng: s.rng, uncond: s.uncond, opaque: s.opaque,
+		}
+		c := &irhash.Canon{}
+		c.S("modref-summary")
+		e.readG = encodeGlobals(c, s.readG)
+		e.writeG = encodeGlobals(c, s.writeG)
+		e.mustWG = encodeGlobals(c, s.mustWG)
+		e.exposedG = encodeGlobals(c, s.exposedG)
+		for _, ps := range [][]int{e.readP, e.writeP} {
+			c.U(uint64(len(ps)))
+			for _, p := range ps {
+				c.U(uint64(p))
+			}
+		}
+		for _, b := range []bool{e.impure, e.rng, e.uncond, e.opaque} {
+			c.B(b)
+		}
+		e.digest = sha256.Sum256(c.Buf)
+		sc.fc.Put(sc.keys[f], e)
+		sc.digests[f] = e.digest
+	}
+}
+
+// encodeGlobals appends the set's declarations sorted by name and returns
+// the names.
+func encodeGlobals(c *irhash.Canon, set map[*ir.Global]bool) []string {
+	gs := make([]*ir.Global, 0, len(set))
+	for g := range set {
+		gs = append(gs, g)
+	}
+	sort.Slice(gs, func(i, j int) bool { return gs[i].Name < gs[j].Name })
+	names := make([]string, len(gs))
+	c.U(uint64(len(gs)))
+	for i, g := range gs {
+		names[i] = g.Name
+		c.S(g.Name)
+		c.U(uint64(g.Elem))
+		c.U(uint64(len(g.Dims)))
+		for _, d := range g.Dims {
+			c.I(d)
+		}
+	}
+	return names
+}
+
+// globalSet resolves names in the current module; an empty set stays nil
+// (a loaded build is only ever read).
+func (sc *summaryCache) globalSet(names []string) map[*ir.Global]bool {
+	if len(names) == 0 {
+		return nil
+	}
+	set := make(map[*ir.Global]bool, len(names))
+	for _, n := range names {
+		set[sc.globals[n]] = true
+	}
+	return set
+}
+
+func intSet(xs []int) map[int]bool {
+	if len(xs) == 0 {
+		return nil
+	}
+	set := make(map[int]bool, len(xs))
+	for _, x := range xs {
+		set[x] = true
+	}
+	return set
 }

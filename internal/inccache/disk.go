@@ -25,6 +25,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"kremlin/internal/irhash"
 	"kremlin/internal/profile"
 )
 
@@ -114,46 +115,46 @@ func (s *Store) Save() error {
 }
 
 func marshalRecords(recs []*Record) []byte {
-	c := &canon{buf: make([]byte, 0, 256)}
-	c.buf = append(c.buf, diskMagic...)
-	c.u(diskVersion)
-	c.u(uint64(len(recs)))
+	c := &irhash.Canon{Buf: make([]byte, 0, 256)}
+	c.Buf = append(c.Buf, diskMagic...)
+	c.U(diskVersion)
+	c.U(uint64(len(recs)))
 	for _, r := range recs {
-		c.u(uint64(r.EntryDepth))
-		c.u(uint64(len(r.ArgBits)))
+		c.U(uint64(r.EntryDepth))
+		c.U(uint64(len(r.ArgBits)))
 		for _, a := range r.ArgBits {
-			c.u(a)
+			c.U(a)
 		}
-		c.u(r.RetBits)
-		c.u(r.Work)
-		c.u(r.Steps)
-		c.u(r.RawDelta)
-		c.u(r.PeakHeap)
-		c.u(r.RetDelta)
-		c.u(r.MaxDelta)
-		c.u(uint64(len(r.Funcs)))
+		c.U(r.RetBits)
+		c.U(r.Work)
+		c.U(r.Steps)
+		c.U(r.RawDelta)
+		c.U(r.PeakHeap)
+		c.U(r.RetDelta)
+		c.U(r.MaxDelta)
+		c.U(uint64(len(r.Funcs)))
 		for _, f := range r.Funcs {
-			c.s(f)
+			c.S(f)
 		}
-		c.u(uint64(len(r.Slice)))
+		c.U(uint64(len(r.Slice)))
 		for _, e := range r.Slice {
-			c.u(uint64(e.FuncIdx))
-			c.u(uint64(e.Local))
-			c.u(e.Work)
-			c.u(e.CP)
-			c.u(uint64(len(e.Children)))
+			c.U(uint64(e.FuncIdx))
+			c.U(uint64(e.Local))
+			c.U(e.Work)
+			c.U(e.CP)
+			c.U(uint64(len(e.Children)))
 			for _, ch := range e.Children {
-				c.u(uint64(ch.Char))
-				c.u(uint64(ch.Count))
+				c.U(uint64(ch.Char))
+				c.U(uint64(ch.Count))
 			}
 		}
-		c.u(uint64(r.RootIdx))
+		c.U(uint64(r.RootIdx))
 	}
 	h := fnv.New64a()
-	_, _ = h.Write(c.buf)
+	_, _ = h.Write(c.Buf)
 	var sum [8]byte
 	binary.LittleEndian.PutUint64(sum[:], h.Sum64())
-	return append(c.buf, sum[:]...)
+	return append(c.Buf, sum[:]...)
 }
 
 // reader is a bounds-checked varint cursor; any overrun latches err.

@@ -33,12 +33,14 @@ package inccache
 
 import (
 	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 
 	"kremlin/internal/ir"
+	"kremlin/internal/irhash"
 	"kremlin/internal/kremlib"
 	"kremlin/internal/profile"
 	"kremlin/internal/regions"
@@ -87,6 +89,29 @@ type Record struct {
 	RootIdx    int32 // slice index of the extent's root (function-region) entry
 }
 
+// Key is a function's transitive content key (irhash.Key).
+type Key = irhash.Key
+
+// parseKey inverts Key.String, rejecting anything that is not exactly 32
+// lower-case hex digits.
+func parseKey(s string) (Key, bool) {
+	var k Key
+	if len(s) != 2*len(k) {
+		return k, false
+	}
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		return k, false
+	}
+	copy(k[:], b)
+	return k, true
+}
+
+// funcFact is the per-function verdict of the content analysis: the
+// transitive key plus whether the function is sealed — a deterministic pure
+// sub-computation whose dynamic extent the cache may record and replay.
+type funcFact = irhash.Func
+
 // Stats counts one session's cache traffic.
 type Stats struct {
 	Lookups      uint64 `json:"lookups"`
@@ -118,8 +143,8 @@ type regionLoc struct {
 	local int32
 }
 
-// modInfo is the per-module analysis the store memoizes: content facts per
-// function plus the two region-ID translation tables.
+// modInfo is one session's module analysis: content facts per function
+// plus the two region-ID translation tables.
 type modInfo struct {
 	facts map[*ir.Func]*funcFact
 	// regionOf maps a global static region ID to its portable name.
@@ -128,9 +153,10 @@ type modInfo struct {
 	funcRegions map[string][]int32
 }
 
-func newModInfo(regs *regions.Program) *modInfo {
+// newModInfo builds the module analysis from the module's content hashes.
+func newModInfo(regs *regions.Program, hashes *irhash.Module) *modInfo {
 	mi := &modInfo{
-		facts:       analyze(regs.Module),
+		facts:       hashes.Funcs,
 		regionOf:    make([]regionLoc, len(regs.Regions)),
 		funcRegions: make(map[string][]int32, len(regs.Module.Funcs)),
 	}
@@ -154,7 +180,6 @@ type Store struct {
 	mu         sync.Mutex
 	recs       map[Key][]*Record
 	dirty      map[Key]bool
-	mods       map[*ir.Module]*modInfo
 	corrupt    int
 	nRecords   int
 	maxRecords int            // 0 = unbounded
@@ -172,7 +197,6 @@ func Open(dir string) (*Store, error) {
 		dir:     dir,
 		recs:    make(map[Key][]*Record),
 		dirty:   make(map[Key]bool),
-		mods:    make(map[*ir.Module]*modInfo),
 		lastUse: make(map[Key]uint64),
 	}
 	if err := s.loadAll(); err != nil {
@@ -182,27 +206,18 @@ func Open(dir string) (*Store, error) {
 }
 
 // Session prepares a profiling session for one compiled program against the
-// store. The module analysis is memoized per module pointer.
-func (s *Store) Session(regs *regions.Program) *Session {
-	s.mu.Lock()
-	mi := s.mods[regs.Module]
-	if mi == nil {
-		mi = newModInfo(regs)
-		s.mods[regs.Module] = mi
-	}
-	s.mu.Unlock()
-	return &Session{store: s, info: mi}
-}
-
-// SessionScoped is Session with keyspace isolation: every content key this
-// session reads or writes is mixed with a salt derived from scope, so
-// records recorded under one scope are invisible to every other. The empty
-// scope is the unsalted global keyspace (identical to Session). The serve
-// daemon passes the tenant name, giving each tenant a private keyspace
-// inside one shared bounded store — one tenant's traffic can evict another's
-// records (the size bound is global) but can never replay them.
-func (s *Store) SessionScoped(regs *regions.Program, scope string) *Session {
-	sess := s.Session(regs)
+// store. hashes are the module's content hashes (irhash.Analyze of
+// regs.Module), computed once per program by its owner.
+//
+// A non-empty scope isolates the keyspace: every content key this session
+// reads or writes is mixed with a salt derived from scope, so records
+// recorded under one scope are invisible to every other. The empty scope is
+// the unsalted global keyspace. The serve daemon passes the tenant name,
+// giving each tenant a private keyspace inside one shared bounded store —
+// one tenant's traffic can evict another's records (the size bound is
+// global) but can never replay them.
+func (s *Store) Session(regs *regions.Program, hashes *irhash.Module, scope string) *Session {
+	sess := &Session{store: s, info: newModInfo(regs, hashes)}
 	if scope != "" {
 		sum := sha256.Sum256([]byte("kremlin-inccache-scope\x00" + scope))
 		copy(sess.salt[:], sum[:len(sess.salt)])
@@ -343,16 +358,10 @@ func argsEqual(a, b []uint64) bool {
 // Keys returns every function's transitive content key by name — the
 // debug/test surface behind -cache-stats.
 func (s *Store) Keys(regs *regions.Program) map[string]string {
-	s.mu.Lock()
-	mi := s.mods[regs.Module]
-	if mi == nil {
-		mi = newModInfo(regs)
-		s.mods[regs.Module] = mi
-	}
-	s.mu.Unlock()
-	out := make(map[string]string, len(mi.facts))
-	for f, fact := range mi.facts {
-		out[f.Name] = fact.key.String()
+	facts := irhash.Analyze(regs.Module).Funcs
+	out := make(map[string]string, len(facts))
+	for f, fact := range facts {
+		out[f.Name] = fact.Key.String()
 	}
 	return out
 }
@@ -360,16 +369,9 @@ func (s *Store) Keys(regs *regions.Program) map[string]string {
 // SealedFuncs returns the names of the functions whose call extents the
 // cache may record and replay, sorted.
 func (s *Store) SealedFuncs(regs *regions.Program) []string {
-	s.mu.Lock()
-	mi := s.mods[regs.Module]
-	if mi == nil {
-		mi = newModInfo(regs)
-		s.mods[regs.Module] = mi
-	}
-	s.mu.Unlock()
 	var out []string
-	for f, fact := range mi.facts {
-		if fact.sealed {
+	for f, fact := range irhash.Analyze(regs.Module).Funcs {
+		if fact.Sealed {
 			out = append(out, f.Name)
 		}
 	}
@@ -430,12 +432,12 @@ type Session struct {
 // keyFor returns fact's content key in this session's keyspace.
 func (s *Session) keyFor(fact *funcFact) Key {
 	if !s.scoped {
-		return fact.key
+		return fact.Key
 	}
 	if k, ok := s.scopedKeys[fact]; ok {
 		return k
 	}
-	k := fact.key
+	k := fact.Key
 	for i := range k {
 		k[i] ^= s.salt[i]
 	}
@@ -473,7 +475,7 @@ func (s *Session) Cacheable(f *ir.Func) bool {
 		return false
 	}
 	fact := s.info.facts[f]
-	return fact != nil && fact.sealed
+	return fact != nil && fact.Sealed
 }
 
 // Stats returns the session counters plus store-level totals.
@@ -521,7 +523,7 @@ func (s *Session) TrySkip(f *ir.Func, call *ir.Instr, fs *kremlib.FrameState, ar
 		return Hit{}, false
 	}
 	fact := s.info.facts[f]
-	if fact == nil || !fact.sealed {
+	if fact == nil || !fact.Sealed {
 		return Hit{}, false
 	}
 	s.stats.Lookups++
@@ -618,7 +620,7 @@ func (s *Session) BeginRecord(f *ir.Func, argBits []uint64, steps uint64) *Recor
 		return nil
 	}
 	fact := s.info.facts[f]
-	if fact == nil || !fact.sealed {
+	if fact == nil || !fact.Sealed {
 		return nil
 	}
 	key := s.keyFor(fact)

@@ -9,7 +9,6 @@
 package instrument
 
 import (
-	"kremlin/internal/cfg"
 	"kremlin/internal/ir"
 	"kremlin/internal/regions"
 )
@@ -60,7 +59,7 @@ func Build(prog *regions.Program) *Module {
 			Events: make(map[uint64]regions.EdgeEvents),
 			Info:   prog.PerFunc[f],
 		}
-		g := cfg.New(f)
+		g := fi.Info.Graph
 		ipdom := g.Postdominators()
 		n := len(f.Blocks)
 		for i, b := range f.Blocks {

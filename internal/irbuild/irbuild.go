@@ -722,12 +722,26 @@ func Mem2Reg(f *ir.Func) {
 					Args: make([]ir.Value, len(blk.Preds)),
 				}
 				phi.Block = blk
-				phi.ID = f.NewValueID()
 				phis[v][slot] = phi
 				if !inWork[v] {
 					inWork[v] = true
 					work = append(work, v)
 				}
+			}
+		}
+	}
+
+	// Number the phis block by block, in slot order: the frontiers come
+	// in map order, so numbering as they are found would give one source
+	// different value IDs on different compiles (content hashes key on
+	// them).
+	for _, m := range phis {
+		if len(m) == 0 {
+			continue
+		}
+		for slot := 0; slot < nslots; slot++ {
+			if phi, ok := m[slot]; ok {
+				phi.ID = f.NewValueID()
 			}
 		}
 	}

@@ -351,3 +351,32 @@ func containsStr(s, sub string) bool {
 	}
 	return false
 }
+
+// TestPhiNumberingDeterministic: one source must lower to the same value
+// IDs on every compile; content hashes and cache keys depend on them. The
+// break gives the inner loop's body a dominance frontier of two blocks.
+func TestPhiNumberingDeterministic(t *testing.T) {
+	const src = `
+int main() {
+	int p = 0;
+	int q = 1;
+	for (int i = 0; i < 6; i++) {
+		for (int j = 0; j < 5; j++) {
+			p++;
+			q = q + p;
+			if (p > 7) {
+				break;
+			}
+		}
+	}
+	print("r", p + q);
+	return 0;
+}
+`
+	want := build(t, src).ByName["main"].String()
+	for k := 0; k < 20; k++ {
+		if got := build(t, src).ByName["main"].String(); got != want {
+			t.Fatalf("compile %d numbered values differently:\n%s\nvs\n%s", k, got, want)
+		}
+	}
+}

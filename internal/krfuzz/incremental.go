@@ -4,7 +4,8 @@ package krfuzz
 // hash cache, then profile an edited variant through that cache and demand
 // the result be indistinguishable from profiling the edited program from
 // scratch — on both execution engines, plus a cross-engine pairing where
-// the tree interpreter records and the bytecode VM replays.
+// the tree interpreter records and the bytecode VM replays. The front
+// cache gets the same treatment at compile time (checkFrontCache).
 //
 // Deliberately NOT compared: shadow-memory statistics (ShadowPages,
 // ShadowWrites). Replaying a cached extent skips the shadow writes the
@@ -30,6 +31,9 @@ import (
 func CheckIncremental(name, baseSrc, editSrc string, cfg OracleConfig) error {
 	fail := func(check, format string, args ...interface{}) error {
 		return &Failure{Source: editSrc, Check: check, Detail: fmt.Sprintf(format, args...)}
+	}
+	if err := checkFrontCache(name, baseSrc, editSrc, fail); err != nil {
+		return err
 	}
 
 	type pairing struct {

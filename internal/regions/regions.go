@@ -102,7 +102,13 @@ type FuncInfo struct {
 	NestPath map[*ir.Block][]*Region
 	// HeaderOf maps a loop header block to its loop region.
 	HeaderOf map[*ir.Block]*Region
-	Loops    []*cfg.Loop
+	// Graph and Idom are the function's CFG and immediate dominators, which
+	// the static dependence analysis and the instrumentation tables reuse;
+	// a compiled program has dropped them (ReleaseCFGs). Loops is the loop
+	// forest, outermost loops first.
+	Graph *cfg.Graph
+	Idom  []int
+	Loops []*cfg.Loop
 	// LoopOf maps a loop region to its cfg loop.
 	LoopOf map[*Region]*cfg.Loop
 }
@@ -123,6 +129,16 @@ func (p *Program) ByLabel(label string) *Region {
 		}
 	}
 	return nil
+}
+
+// ReleaseCFGs drops every function's Graph and Idom. A compile calls it
+// once the dependence analysis and the instrumentation tables are built, so
+// a compiled program does not keep them alive; depcheck.Analyze and
+// instrument.Build need a Program that still has them.
+func (p *Program) ReleaseCFGs() {
+	for _, fi := range p.PerFunc {
+		fi.Graph, fi.Idom = nil, nil
+	}
 }
 
 // Analyze builds the region structure of m.
@@ -158,7 +174,7 @@ func Analyze(m *ir.Module, src *source.File) *Program {
 		g := cfg.New(f)
 		idom := g.Dominators()
 		loops := g.Loops(idom)
-		fi.Loops = loops
+		fi.Graph, fi.Idom, fi.Loops = g, idom, loops
 
 		// Create loop+body regions outermost-first so parents exist.
 		sort.SliceStable(loops, func(i, j int) bool { return loops[i].Depth < loops[j].Depth })

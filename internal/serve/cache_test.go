@@ -287,3 +287,68 @@ func TestServeInccacheTenantIsolation(t *testing.T) {
 		t.Fatalf("store did not grow across tenants: %d -> %d", afterColdA.IncRecords, afterB.IncRecords)
 	}
 }
+
+// TestServeFrontCache: a one-helper edit resubmitted after its base misses
+// the per-function front cache only on the edited helper, and streams
+// exactly what a daemon without caches streams. The same program as an IR
+// bundle then hits on every function.
+func TestServeFrontCache(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, CompileCache: 8, Now: fixedClock()})
+	_, cold := newTestServer(t, Config{Workers: 1, Now: fixedClock()})
+	edit := strings.Replace(sealedProg, "s = s + b * i;", "s = s + b * i + 1;", 1)
+
+	if st, _ := rawPost(t, ts.Client(), ts.URL+"/v1/jobs?name=s.kr", sealedProg, nil); st != http.StatusOK {
+		t.Fatalf("base: status %d", st)
+	}
+	base := s.Stats()
+	if base.FrontMisses != 9 || base.FrontHits != 0 || base.FrontEntries != 9 {
+		t.Errorf("base: front cache hits/misses/entries = %d/%d/%d, want 0/9/9 (three lookups for each of three functions)",
+			base.FrontHits, base.FrontMisses, base.FrontEntries)
+	}
+	if base.FrontBytes <= 0 {
+		t.Errorf("base: front cache bytes = %d, want the entries' estimated size", base.FrontBytes)
+	}
+	st, warm := rawPost(t, ts.Client(), ts.URL+"/v1/jobs?name=s.kr", edit, nil)
+	if st != http.StatusOK {
+		t.Fatalf("edit: status %d", st)
+	}
+	stats := s.Stats()
+	if m, h := stats.FrontMisses-base.FrontMisses, stats.FrontHits-base.FrontHits; m != 3 || h != 6 {
+		t.Errorf("edit: front cache misses/hits = %d/%d, want 3/6 (only mix misses)", m, h)
+	}
+	if _, want := rawPost(t, cold.Client(), cold.URL+"/v1/jobs?name=s.kr", edit, nil); !bytes.Equal(warm, want) {
+		t.Errorf("edit through the front cache streams differently:\n--- uncached ---\n%s\n--- front cache ---\n%s", want, warm)
+	}
+
+	p, err := kremlin.Compile("s.kr", edit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats()
+	if st, _ := rawPost(t, ts.Client(), ts.URL+"/v1/jobs?name=s.kr", string(p.EncodeBundle()),
+		map[string]string{"Content-Type": "application/x-kremlin-ir"}); st != http.StatusOK {
+		t.Fatalf("bundle: status %d", st)
+	}
+	after := s.Stats()
+	if after.CompileMisses != before.CompileMisses+1 {
+		t.Errorf("bundle did not compile: compile misses %d -> %d", before.CompileMisses, after.CompileMisses)
+	}
+	if m := after.FrontMisses - before.FrontMisses; m != 0 {
+		t.Errorf("bundle of an already compiled program missed the front cache %d times, want 0", m)
+	}
+
+	resp, err := ts.Client().Get(ts.URL + "/statz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var wire map[string]interface{}
+	if err := json.NewDecoder(resp.Body).Decode(&wire); err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{"front_cache_hits", "front_cache_misses", "front_cache_entries", "front_cache_bytes"} {
+		if _, ok := wire[field]; !ok {
+			t.Errorf("/statz missing field %q", field)
+		}
+	}
+}

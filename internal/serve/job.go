@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"kremlin"
+	"kremlin/internal/frontcache"
 	"kremlin/internal/inccache"
 	"kremlin/internal/ircache"
 	"kremlin/internal/limits"
@@ -116,10 +117,14 @@ func (s *Server) compileJob(j *job) (*kremlin.Program, error) {
 	build := func() (interface{}, int64, error) {
 		var p *kremlin.Program
 		var err error
+		var front *frontcache.Scope
+		if s.front != nil {
+			front = s.front.Scope(j.tenant)
+		}
 		if j.bundle != nil {
-			p, err = kremlin.CompileBundle(j.bundle)
+			p, err = kremlin.CompileBundleWith(j.bundle, front)
 		} else {
-			p, err = kremlin.Compile(j.name, j.src)
+			p, err = kremlin.CompileWith(j.name, j.src, kremlin.CompileOptions{FrontCache: front})
 		}
 		if err != nil {
 			return nil, 0, err

@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"kremlin"
+	"kremlin/internal/frontcache"
 	"kremlin/internal/inccache"
 	"kremlin/internal/ircache"
 	"kremlin/internal/serve/chaos"
@@ -95,6 +96,13 @@ type Config struct {
 	// submissions of the same never-seen program compile once
 	// (single-flight). CompileCacheBytes optionally bounds the held bytes
 	// (0 = unbounded). 0 entries disables the cache.
+	//
+	// A compile cache also turns on the per-function front cache: a
+	// compile that misses reuses the abstract interpretation and mod/ref
+	// summary of every function whose analysis inputs are unchanged since
+	// an earlier compile of the same tenant (at most frontcache.MaxEntries
+	// entries and frontcache.MaxBytes estimated bytes, shared by all
+	// tenants).
 	CompileCache      int
 	CompileCacheBytes int64
 	// IncCache, when non-nil, is a shared incremental re-profiling store:
@@ -179,6 +187,13 @@ type Stats struct {
 	CompileEntries int    `json:"compile_cache_entries"` // programs resident right now
 	CompileBytes   int64  `json:"compile_cache_bytes"`   // estimated bytes held
 
+	// Front cache (on with the compile cache), counted per function lookup:
+	// absint first pass, absint final pass, mod/ref summary.
+	FrontHits    uint64 `json:"front_cache_hits"`
+	FrontMisses  uint64 `json:"front_cache_misses"`
+	FrontEntries int    `json:"front_cache_entries"`
+	FrontBytes   int64  `json:"front_cache_bytes"` // estimated bytes held
+
 	// Shared incremental re-profiling store (Config.IncCache), summed over
 	// every job serviced so far.
 	IncLookups  uint64 `json:"inccache_lookups"`
@@ -194,8 +209,9 @@ type Stats struct {
 type Server struct {
 	cfg       Config
 	limiter   *tenantLimiter
-	jobCache  *jobCache      // nil when Config.JobCache == 0
-	compCache *ircache.Cache // nil when Config.CompileCache == 0
+	jobCache  *jobCache         // nil when Config.JobCache == 0
+	compCache *ircache.Cache    // nil when Config.CompileCache == 0
+	front     *frontcache.Cache // nil when Config.CompileCache == 0
 
 	mu       sync.Mutex // guards draining and the close of jobs
 	draining bool
@@ -236,6 +252,7 @@ func New(cfg Config) *Server {
 	}
 	if cfg.CompileCache > 0 {
 		s.compCache = ircache.New(cfg.CompileCache, cfg.CompileCacheBytes)
+		s.front = frontcache.New(frontcache.MaxEntries, frontcache.MaxBytes)
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -279,6 +296,11 @@ func (s *Server) Stats() Stats {
 		st.CompileEvicted = cs.Evicted
 		st.CompileEntries = cs.Entries
 		st.CompileBytes = cs.Bytes
+		fs := s.front.Stats()
+		st.FrontHits = fs.Hits
+		st.FrontMisses = fs.Misses
+		st.FrontEntries = fs.Entries
+		st.FrontBytes = fs.Bytes
 	}
 	if s.cfg.IncCache != nil {
 		st.IncLookups = s.incLookups.Load()

@@ -32,12 +32,14 @@ import (
 	"kremlin/internal/ast"
 	"kremlin/internal/bytecode"
 	"kremlin/internal/depcheck"
+	"kremlin/internal/frontcache"
 	"kremlin/internal/hcpa"
 	"kremlin/internal/inccache"
 	"kremlin/internal/instrument"
 	"kremlin/internal/interp"
 	"kremlin/internal/ir"
 	"kremlin/internal/irbuild"
+	"kremlin/internal/irhash"
 	"kremlin/internal/kremlib"
 	"kremlin/internal/opt"
 	"kremlin/internal/parallel"
@@ -75,6 +77,8 @@ type Program struct {
 	Opt opt.Stats
 
 	absintOff bool
+	hashOnce  sync.Once
+	hashes    *irhash.Module // see contentHashes
 	bcOnce    sync.Once
 	bc        *bytecode.Program
 }
@@ -148,6 +152,12 @@ type CompileOptions struct {
 	// and lint always use them); profiles, plans, and program output are
 	// byte-identical either way.
 	DisableAbsint bool
+	// FrontCache, when non-nil, serves each function's abstract
+	// interpretation and mod/ref summary from one scope of a front cache
+	// when the function's analysis inputs are unchanged (see
+	// internal/frontcache), and stores the fresh ones. The program is
+	// identical to an uncached compile's.
+	FrontCache *frontcache.Scope
 }
 
 // Compile parses, type-checks, lowers, and statically instruments src with
@@ -187,22 +197,33 @@ func CompileWith(name, src string, o CompileOptions) (*Program, error) {
 	} else {
 		stats = analysis.Run(mod)
 	}
-	facts := absint.Analyze(mod)
-	regs := regions.Analyze(mod, file)
-	vet := depcheck.Analyze(regs, facts)
-	return &Program{
+	p := &Program{
 		File:      file,
 		AST:       tree,
 		Info:      info,
 		Module:    mod,
-		Regions:   regs,
-		Instr:     instrument.Build(regs),
-		Vet:       vet,
-		Absint:    facts,
 		Analysis:  stats,
 		Opt:       ostats,
 		absintOff: o.DisableAbsint,
-	}, nil
+	}
+	p.analyze(o.FrontCache)
+	return p, nil
+}
+
+// analyze runs the rest of the pipeline on the lowered module: abstract
+// interpretation, regions, the dependence analysis and instrumentation,
+// through the front cache scope when there is one. The last two reuse the
+// CFGs the region analysis built, which the program then drops.
+func (p *Program) analyze(front *frontcache.Scope) {
+	var fc *frontcache.Session
+	if front != nil {
+		fc = front.Session(p.contentHashes())
+	}
+	p.Absint = absint.AnalyzeWith(p.Module, fc)
+	p.Regions = regions.Analyze(p.Module, p.File)
+	p.Vet = depcheck.AnalyzeWith(p.Regions, p.Absint, fc)
+	p.Instr = instrument.Build(p.Regions)
+	p.Regions.ReleaseCFGs()
 }
 
 // RunConfig tunes an execution.
@@ -319,7 +340,15 @@ func (p *Program) cacheSession(cfg *RunConfig) *inccache.Session {
 	if cfg.MaxDepth != 0 && cfg.MaxDepth != kremlib.DefaultMaxDepth {
 		return nil
 	}
-	return cfg.Cache.SessionScoped(p.Regions, cfg.CacheScope)
+	return cfg.Cache.Session(p.Regions, p.contentHashes(), cfg.CacheScope)
+}
+
+// contentHashes returns the module's content hashes, computed on first use:
+// by a front-cached compile, or else by the first incrementally cached
+// run. Every later use shares them.
+func (p *Program) contentHashes() *irhash.Module {
+	p.hashOnce.Do(func() { p.hashes = irhash.Analyze(p.Module) })
+	return p.hashes
 }
 
 // safetyVector flattens the per-region static dependence verdicts into the

@@ -134,3 +134,15 @@ func TestSmokePlan(t *testing.T) {
 		}
 	}
 }
+
+// TestCompiledProgramDropsCFGs: the dependence analysis and the
+// instrumentation tables reuse the CFGs the region analysis built, and a
+// compiled program does not keep them alive.
+func TestCompiledProgramDropsCFGs(t *testing.T) {
+	prog := compileSmoke(t)
+	for f, fi := range prog.Regions.PerFunc {
+		if fi.Graph != nil || fi.Idom != nil {
+			t.Errorf("%s: compiled program still holds its CFG", f.Name)
+		}
+	}
+}
