@@ -165,7 +165,6 @@ int main() {
 		{"run-runtime", krun, []string{runtimeBad}, 5},
 		{"run-budget", krun, []string{"-max-insns", "10000", long}, 6},
 		{"run-timeout", krun, []string{"-timeout", "50ms", long}, 6},
-		{"run-budget-sharded", krun, []string{"-shards", "4", "-max-insns", "10000", long}, 6},
 		{"run-budget-gprof", krun, []string{"-mode=gprof", "-max-insns", "10000", long}, 6},
 		{"plan-parse", kpl, []string{parseBad}, 3},
 		{"plan-analysis", kpl, []string{analysisBad}, 4},

@@ -4,17 +4,17 @@
 //
 // Usage:
 //
-//	kremlin-bench [-experiment all|fig3|fig6|fig7|fig8|fig9|compression|overhead|spclass|sensitivity|scaling|shards|vet|ablation|personality|fuzz|serve|scale|incfuzz]
-//	              [-benches a,b,...] [-shard-counts 1,2,4,8] [-json out.json]
+//	kremlin-bench [-experiment all|fig3|fig6|fig7|fig8|fig9|compression|overhead|spclass|sensitivity|scaling|vmspeed|vet|ablation|personality|fuzz|serve|scale|incfuzz]
+//	              [-benches a,b,...] [-json out.json]
 //	              [-fuzz-n 200] [-seed 1] [-fuzz-out dir]
 //	              [-serve-conc 100,1000] [-serve-warm-conc 100,1000,10000]
 //	              [-serve-jobs N] [-min-warm-speedup X]
 //	              [-scale-lines 10000,50000,100000] [-scale-iters 60] [-min-scale-speedup X]
 //	              [-cpuprofile f] [-memprofile f]
 //
-// The shards experiment measures the parallel depth-window sharded
-// profiler (wall-clock, allocations, plan equivalence vs the sequential
-// run); -json writes its rows as a machine-readable artifact.
+// -benches restricts the vmspeed experiment to a benchmark subset; -json
+// writes the vmspeed, vet, fuzz, serve, scale or incfuzz results as a
+// machine-readable artifact.
 //
 // The serve experiment load-tests the kremlin-serve daemon in-process
 // over real HTTP: sustained QPS and p50/p99 latency at each -serve-conc
@@ -59,9 +59,8 @@ import (
 )
 
 var (
-	benches        = flag.String("benches", "", "comma-separated benchmark subset for the shards experiment (default: all)")
-	shardCounts    = flag.String("shard-counts", "1,2,4,8", "comma-separated shard counts for the shards experiment")
-	jsonOut        = flag.String("json", "", "write the shards or fuzz experiment results as JSON to this path")
+	benches        = flag.String("benches", "", "comma-separated benchmark subset for the vmspeed experiment (default: all)")
+	jsonOut        = flag.String("json", "", "write the vmspeed, vet, fuzz, serve, scale or incfuzz results as JSON to this path")
 	fuzzN          = flag.Int("fuzz-n", 200, "number of generated programs for the fuzz experiment")
 	fuzzSeed       = flag.Int64("seed", 1, "base generator seed for the fuzz experiment")
 	fuzzOut        = flag.String("fuzz-out", ".", "directory for shrunk fuzz reproducers")
@@ -113,7 +112,6 @@ func main() {
 	run("spclass", spclass)
 	run("sensitivity", sensitivity)
 	run("scaling", scaling)
-	run("shards", shards)
 	run("vmspeed", vmspeed)
 	run("vet", vet)
 	run("ablation", ablation)
@@ -370,50 +368,6 @@ func personality() error {
 		fmt.Println()
 	}
 	fmt.Println("(geomean best-config speedup across the suite)")
-	return nil
-}
-
-func shards() error {
-	header("Parallel sharded profiling: depth-window shards vs sequential")
-	var names []string
-	if *benches != "" {
-		names = strings.Split(*benches, ",")
-	}
-	var counts []int
-	for _, s := range strings.Split(*shardCounts, ",") {
-		k, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil {
-			return fmt.Errorf("bad -shard-counts entry %q: %v", s, err)
-		}
-		counts = append(counts, k)
-	}
-	rows, err := eval.ShardScaling(names, counts)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-8s", "bench")
-	for _, k := range counts {
-		fmt.Printf(" %9s %11s", fmt.Sprintf("K=%d", k), "allocs")
-	}
-	fmt.Printf(" %8s %6s\n", "best-spd", "equal")
-	for _, r := range rows {
-		fmt.Printf("%-8s", r.Name)
-		for _, p := range r.Points {
-			fmt.Printf(" %9v %11d", p.Time.Round(10_000), p.Allocs)
-		}
-		fmt.Printf(" %7.2fx %6t\n", r.BestSpeedup, r.PlanEqual)
-	}
-	fmt.Printf("(GOMAXPROCS=%d; shard counts beyond the core count cannot win wall-clock)\n", runtime.GOMAXPROCS(0))
-	if *jsonOut != "" {
-		data, err := json.MarshalIndent(rows, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *jsonOut)
-	}
 	return nil
 }
 

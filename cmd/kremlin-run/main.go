@@ -7,15 +7,13 @@
 // Multiple runs can append into the same profile (-merge), the paper's
 // multi-run aggregation that reduces input sensitivity.
 //
-// With -shards K > 1, HCPA collection is split across K complementary
-// region-depth windows profiled concurrently and stitched back into one
-// full-depth profile — the paper's scheme for making the profiler itself
-// exploit multicore.
+// -mindepth/-maxdepth limit HCPA collection to a window of region depths,
+// the paper's way of bounding the profiler's shadow-memory cost.
 //
 // Usage:
 //
 //	kremlin-run [-mode=hcpa|gprof] [-o prog.krpf] [-merge] [-mindepth N] [-maxdepth N]
-//	            [-shards K] [-timeout d] [-max-insns N] [-cpuprofile f] [-memprofile f] prog.kr
+//	            [-timeout d] [-max-insns N] [-cpuprofile f] [-memprofile f] prog.kr
 //
 // Exit codes follow the shared taxonomy (kremlin.ExitCodeFor): 0 success,
 // 1 I/O or other error, 2 usage, 3 parse error, 4 analysis error, 5
@@ -47,18 +45,17 @@ func main() {
 	merge := flag.Bool("merge", false, "merge into an existing profile instead of replacing it")
 	maxDepth := flag.Int("maxdepth", 0, "region-depth collection window upper bound (0 = default)")
 	minDepth := flag.Int("mindepth", 0, "region-depth collection window lower bound")
-	shards := flag.Int("shards", 1, "split HCPA collection across K concurrent depth-window shard runs")
 	mode := flag.String("mode", "hcpa", "instrumentation mode: hcpa (parallelism profile) or gprof (serial hotspot list)")
 	timeout := flag.Duration("timeout", 0, "wall-clock deadline for the run (0 = none); overrun exits 6")
 	maxInsns := flag.Uint64("max-insns", 0, "instruction budget for the run (0 = default); overrun exits 6")
 	cpuProf := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memProf := flag.String("memprofile", "", "write a heap profile to this path")
 	engine := flag.String("engine", "vm", "execution engine: vm (block-batched bytecode) or tree (reference interpreter)")
-	cacheDir := flag.String("cache-dir", "", "incremental profile cache directory (hcpa mode, unsharded, full depth window only)")
+	cacheDir := flag.String("cache-dir", "", "incremental profile cache directory (hcpa mode, full depth window only)")
 	cacheStats := flag.Bool("cache-stats", false, "print incremental-cache statistics to stderr after the run")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: kremlin-run [-o prog.krpf] [-merge] [-maxdepth N] [-shards K] prog.kr")
+		fmt.Fprintln(os.Stderr, "usage: kremlin-run [-o prog.krpf] [-merge] [-maxdepth N] prog.kr")
 		os.Exit(2)
 	}
 	eng, err := kremlin.ParseEngine(*engine)
@@ -129,41 +126,21 @@ func main() {
 		Out: os.Stdout, MinDepth: *minDepth, MaxDepth: *maxDepth,
 		Ctx: ctx, MaxSteps: *maxInsns, Engine: eng,
 	}
-	// The incremental cache only applies to full-depth, unsharded HCPA
-	// collection (the cache records full sub-profiles; a depth window or
-	// shard run would record partial ones).
+	// The incremental cache only applies to full-depth HCPA collection
+	// (the cache records full sub-profiles; a depth window would record
+	// partial ones).
 	var stats inccache.Stats
 	if *cacheDir != "" {
-		if *shards > 1 {
-			fmt.Fprintln(os.Stderr, "kremlin-run: -cache-dir is ignored with -shards > 1")
-		} else {
-			st, err := inccache.Open(*cacheDir)
-			if err != nil {
-				fail(err)
-			}
-			cfg.Cache = st
-			cfg.CacheStats = &stats
+		st, err := inccache.Open(*cacheDir)
+		if err != nil {
+			fail(err)
 		}
+		cfg.Cache = st
+		cfg.CacheStats = &stats
 	}
-	var prof *profile.Profile
-	var work uint64
-	if *shards > 1 {
-		sprof, sres, err := prog.ProfileSharded(cfg, *shards)
-		if err != nil {
-			fail(err)
-		}
-		prof, work = sprof, sres.Work()
-		fmt.Fprintf(os.Stderr, "kremlin-run: %d depth-window shards:", len(sres.Windows))
-		for _, w := range sres.Windows {
-			fmt.Fprintf(os.Stderr, " [%d,%d)", w.Lo, w.Hi)
-		}
-		fmt.Fprintln(os.Stderr)
-	} else {
-		fprof, res, err := prog.Profile(cfg)
-		if err != nil {
-			fail(err)
-		}
-		prof, work = fprof, res.Work
+	prof, res, err := prog.Profile(cfg)
+	if err != nil {
+		fail(err)
 	}
 	if cfg.Cache != nil && *cacheStats {
 		fmt.Fprintf(os.Stderr, "kremlin-run: cache %s: %d/%d hits (%.1f%%), %d recorded, %d steps skipped, %d corrupt repaired\n",
@@ -200,5 +177,5 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "kremlin-run: %d work units; %d dynamic regions compressed to %d dictionary entries (%d bytes, raw %d bytes); profile written to %s\n",
-		work, prof.Dict.RawCount, len(prof.Dict.Entries), prof.MarshalSize(), prof.RawBytes(), *out)
+		res.Work, prof.Dict.RawCount, len(prof.Dict.Entries), prof.MarshalSize(), prof.RawBytes(), *out)
 }

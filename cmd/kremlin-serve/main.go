@@ -6,7 +6,7 @@
 //
 //	kremlin-serve [-addr :8080] [-workers N] [-queue N] [-job-timeout d]
 //	              [-max-insns N] [-max-pages N] [-max-heap-words N]
-//	              [-rate R] [-burst N] [-shards K] [-job-cache N]
+//	              [-rate R] [-burst N] [-job-cache N]
 //	              [-compile-cache N] [-inccache-dir path] [-inccache-max N]
 //
 // The daemon sheds load with 429 when the queue is full, rate-limits
@@ -40,7 +40,6 @@ func main() {
 	maxHeap := flag.Uint64("max-heap-words", serve.DefaultMaxHeap, "per-job simulated-heap cap (8-byte words)")
 	rate := flag.Float64("rate", 0, "per-tenant jobs/sec (0 = no rate limiting)")
 	burst := flag.Int("burst", 0, "per-tenant burst (default 2x rate)")
-	shards := flag.Int("shards", 1, "depth-window shards per job")
 	jobCache := flag.Int("job-cache", 256, "memoize up to N successful jobs by content hash (0 = off)")
 	compileCache := flag.Int("compile-cache", 256, "memoize up to N compiled programs by content hash (0 = off)")
 	incDir := flag.String("inccache-dir", "", "shared incremental re-profiling cache directory (empty = off; tenants get isolated keyspaces)")
@@ -77,7 +76,6 @@ func main() {
 		MaxHeapWords:   *maxHeap,
 		RatePerSec:     *rate,
 		RateBurst:      *burst,
-		Shards:         *shards,
 		Engine:         eng,
 		JobCache:       *jobCache,
 		CompileCache:   *compileCache,

@@ -60,15 +60,13 @@ func main() {
 	exclude := flag.String("exclude", "", "comma-separated region labels to exclude")
 	labels := flag.Bool("labels", false, "print region labels usable with -exclude")
 	requireSafe := flag.Bool("require-safe", false, "drop regions whose parallelization the static dependence analysis refuted")
-	shards := flag.Int("shards", 1, "profile with K concurrent depth-window shard runs (on-the-fly profiling only)")
 	timeout := flag.Duration("timeout", 0, "wall-clock deadline for on-the-fly profiling (0 = none); overrun exits 6")
 	maxInsns := flag.Uint64("max-insns", 0, "instruction budget for on-the-fly profiling (0 = default); overrun exits 6")
 	engine := flag.String("engine", "vm", "execution engine: vm (block-batched bytecode) or tree (reference interpreter)")
-	cacheDir := flag.String("cache-dir", "", "incremental profile cache directory (on-the-fly unsharded profiling only)")
+	cacheDir := flag.String("cache-dir", "", "incremental profile cache directory (on-the-fly profiling only)")
 	cacheStats := flag.Bool("cache-stats", false, "print incremental-cache statistics to stderr after profiling")
 	jsonOut := flag.Bool("json", false, "vet/lint: emit one JSON object per loop/finding instead of text")
 	absintMode := flag.String("absint", "on", "interval analysis feeding the bytecode compiler: on or off")
-	flag.IntVar(shards, "j", 1, "shorthand for -shards")
 	// Subcommands come first (`kremlin vet -json prog.kr`), so lift them
 	// out before flag parsing; the historical flags-first spelling
 	// (`kremlin -json vet prog.kr`) keeps working through Arg(0) below.
@@ -149,22 +147,15 @@ func main() {
 		}
 		cfg := &kremlin.RunConfig{Ctx: ctx, MaxSteps: *maxInsns, Engine: eng}
 		var stats inccache.Stats
-		if *cacheDir != "" && *shards == 1 {
+		if *cacheDir != "" {
 			st, err := inccache.Open(*cacheDir)
 			if err != nil {
 				fail(err)
 			}
 			cfg.Cache = st
 			cfg.CacheStats = &stats
-		} else if *cacheDir != "" {
-			fmt.Fprintln(os.Stderr, "kremlin: -cache-dir is ignored with -shards > 1")
 		}
-		if *shards > 1 {
-			prof, _, err = prog.ProfileSharded(cfg, *shards)
-		} else {
-			prof, _, err = prog.Profile(cfg)
-		}
-		if err != nil {
+		if prof, _, err = prog.Profile(cfg); err != nil {
 			fail(err)
 		}
 		if cfg.Cache != nil && *cacheStats {

@@ -5,7 +5,6 @@ import (
 
 	"kremlin/internal/interp"
 	"kremlin/internal/limits"
-	"kremlin/internal/parallel"
 	"kremlin/internal/source"
 )
 
@@ -53,7 +52,7 @@ const (
 	// KindAnalysis is a semantic error: type checking or IR lowering.
 	KindAnalysis
 	// KindRuntime is a program execution error (division by zero, index
-	// out of range) or a shard panic converted to an error.
+	// out of range).
 	KindRuntime
 	// KindLimit is a resource-limit failure: cancellation, deadline,
 	// instruction budget, or memory cap (see the limits package).
@@ -79,8 +78,7 @@ func (k ErrorKind) String() string {
 	return "other"
 }
 
-// Classify maps an error from Compile/Run/Profile/ProfileSharded onto the
-// shared taxonomy.
+// Classify maps an error from Compile/Run/Profile onto the shared taxonomy.
 func Classify(err error) ErrorKind {
 	if err == nil {
 		return KindOther
@@ -101,10 +99,6 @@ func Classify(err error) ErrorKind {
 	}
 	var re *interp.RuntimeError
 	if errors.As(err, &re) {
-		return KindRuntime
-	}
-	var pe *parallel.PanicError
-	if errors.As(err, &pe) {
 		return KindRuntime
 	}
 	return KindOther

@@ -326,6 +326,9 @@ func (an *fnAnalysis) finalPass(pv []Val, pa []arrInfo, calleeMoved bool) *fnRes
 		if !an.fixpoint() {
 			return &fnResult{}
 		}
+		// fixpoint never transfers a return, so the summary is rebuilt
+		// from the converged states, as the first pass's is.
+		an.sweep(nil)
 	}
 	an.narrow()
 	ret := an.retVal
@@ -1342,55 +1345,65 @@ func (an *fnAnalysis) evalBuiltin(env []Val, ins *ir.Instr) Val {
 	return typeTop(ins.Typ.Elem, ins.Typ.Dims)
 }
 
-// collectCalls records the abstract arguments of every reachable call
-// site (pass 1) for the interprocedural parameter join, indexed like calls
-// (f's call sites in block order).
-func (an *fnAnalysis) collectCalls(calls []*ir.Instr) []callSiteArgs {
-	out := make([]callSiteArgs, len(calls))
-	an.retVal = BotVal() // rebuilt from the converged envs by the sweep below
-	ci := 0
+// sweep transfers every reached block once from its converged in-state,
+// rebuilding retVal, and calls visit (when non-nil) on each instruction
+// with the block's running environment.
+func (an *fnAnalysis) sweep(visit func(env []Val, ins *ir.Instr)) {
+	an.retVal = BotVal()
+	env := make([]Val, an.nv)
+	var fn func(*ir.Instr, Val, bool)
+	if visit != nil {
+		fn = func(ins *ir.Instr, _ Val, _ bool) { visit(env, ins) }
+	}
 	for bi, b := range an.g.Blocks {
 		if an.in[bi] == nil {
-			for _, ins := range b.Instrs {
-				if isCallSite(ins) {
-					ci++
-				}
-			}
 			continue
 		}
-		env := cloneEnv(an.in[bi])
-		an.transfer(env, b, func(ins *ir.Instr, _ Val, _ bool) {
-			if !isCallSite(ins) {
-				return
-			}
-			ca := callSiteArgs{reached: true}
-			for _, arg := range ins.Args {
-				t := arg.Type()
-				if t.Dims > 0 {
-					dims, exact, ok := an.arrDims(env, arg)
-					info := arrInfo{}
-					if ok {
-						info.exact = exact
-						info.dims = make([]int64, len(dims))
-						for i, d := range dims {
-							if d.I.Lo > 0 {
-								info.dims[i] = d.I.Lo
-							}
-							if _, c := d.IsConst(); !c {
-								info.exact = false
-							}
+		copy(env, an.in[bi])
+		an.transfer(env, b, fn)
+	}
+}
+
+// collectCalls rebuilds retVal (see sweep) and records the abstract
+// arguments of every reachable call site (pass 1) for the interprocedural
+// parameter join, indexed like calls (f's call sites in block order).
+func (an *fnAnalysis) collectCalls(calls []*ir.Instr) []callSiteArgs {
+	out := make([]callSiteArgs, len(calls))
+	ci := 0
+	an.sweep(func(env []Val, ins *ir.Instr) {
+		if !isCallSite(ins) {
+			return
+		}
+		for calls[ci] != ins {
+			ci++ // a call site in an unreached block stays unreached
+		}
+		ca := callSiteArgs{reached: true}
+		for _, arg := range ins.Args {
+			t := arg.Type()
+			if t.Dims > 0 {
+				dims, exact, ok := an.arrDims(env, arg)
+				info := arrInfo{}
+				if ok {
+					info.exact = exact
+					info.dims = make([]int64, len(dims))
+					for i, d := range dims {
+						if d.I.Lo > 0 {
+							info.dims[i] = d.I.Lo
+						}
+						if _, c := d.IsConst(); !c {
+							info.exact = false
 						}
 					}
-					ca.arrs = append(ca.arrs, info)
-					ca.vals = append(ca.vals, TopVal())
-					continue
 				}
-				ca.arrs = append(ca.arrs, arrInfo{})
-				ca.vals = append(ca.vals, an.evalValue(env, arg).Meet(typeTop(t.Elem, t.Dims)))
+				ca.arrs = append(ca.arrs, info)
+				ca.vals = append(ca.vals, TopVal())
+				continue
 			}
-			out[ci] = ca
-			ci++
-		})
-	}
+			ca.arrs = append(ca.arrs, arrInfo{})
+			ca.vals = append(ca.vals, an.evalValue(env, arg).Meet(typeTop(t.Elem, t.Dims)))
+		}
+		out[ci] = ca
+		ci++
+	})
 	return out
 }

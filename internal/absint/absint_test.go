@@ -402,3 +402,46 @@ int main() {
 		}
 	}
 }
+
+// TestReturnSummaryAfterRerun: a helper whose final pass re-runs its
+// fixpoint (its parameter is informative) still gets its return summary,
+// so the caller sees the call's value and an out-of-range index built
+// from it is not proven in bounds (a ⊥ summary made the loop's view
+// vacuously in bounds, and the VM ran it unchecked).
+func TestReturnSummaryAfterRerun(t *testing.T) {
+	mod, facts := compile(t, `
+int a[10];
+int h(int x) {
+	int r = x + 17;
+	return r;
+}
+int main() {
+	int k = h(3);
+	int s = 0;
+	for (int i = 0; i < 2; i++) {
+		s = s + a[k];
+	}
+	return s;
+}
+`)
+	var call *ir.Instr
+	for _, b := range mod.ByName["main"].Blocks {
+		for _, ins := range b.Instrs {
+			if ins.Op == ir.OpCall && ins.Callee != nil {
+				call = ins
+			}
+		}
+	}
+	if call == nil {
+		t.Fatal("no call to h found")
+	}
+	v, ok := facts.ValueOf(call)
+	if c, isConst := v.IsConst(); !ok || !isConst || c != 20 {
+		t.Errorf("ValueOf(h(3)) = %v (ok %v), want [20,20]", v, ok)
+	}
+	for _, view := range viewsIn(mod, "main") {
+		if facts.InBounds(view) {
+			t.Errorf("view at pos %d proven in bounds with index 20 on a[10]", view.Pos)
+		}
+	}
+}

@@ -372,7 +372,8 @@ type lazyFunc struct {
 }
 
 // Func returns function i of Mod.Funcs compiled, compiling it on first
-// use. It is safe for concurrent use (sharded runs share one Program).
+// use. It is safe for concurrent use (the serve daemon's concurrent jobs
+// share one Program).
 func (p *Program) Func(i int32) *FuncCode {
 	lf := &p.funcs[i]
 	lf.once.Do(func() { lf.fc = compileFunc(p.Mod.Funcs[i], p.Prog, p.instr, p.index, p.facts) })

@@ -46,11 +46,6 @@ type machine struct {
 	gpCount []int64
 	gpStack []gpFrame
 
-	probeDepth int
-	probeMax   int
-	probeMark  uint64
-	depthWork  []uint64
-
 	rt   *kremlib.Runtime
 	prof *profile.Profile
 
@@ -140,11 +135,6 @@ func Run(p *Program, cfg interp.Config) (*interp.Result, error) {
 		res.ShadowPages = m.rt.Mem().NumPages()
 		res.ShadowWrites = m.rt.Mem().Writes
 		res.CarriedDeps = m.rt.CarriedDeps()
-	case interp.Probe:
-		m.probeFlush()
-		res.Work = m.work
-		res.DepthWork = m.depthWork
-		res.MaxRegionDepth = m.probeMax
 	case interp.Gprof:
 		res.Work = m.work
 		for id := range m.gpTotal {
@@ -267,14 +257,6 @@ func (m *machine) checkLive() error {
 	return nil
 }
 
-func (m *machine) probeFlush() {
-	for m.probeDepth >= len(m.depthWork) {
-		m.depthWork = append(m.depthWork, 0)
-	}
-	m.depthWork[m.probeDepth] += m.work - m.probeMark
-	m.probeMark = m.work
-}
-
 func (m *machine) regionEnter(r *regions.Region) {
 	switch m.cfg.Mode {
 	case interp.HCPA:
@@ -282,12 +264,6 @@ func (m *machine) regionEnter(r *regions.Region) {
 	case interp.Gprof:
 		m.gpStack = append(m.gpStack, gpFrame{regionID: r.ID, entryWork: m.work})
 		m.gpCount[r.ID]++
-	case interp.Probe:
-		m.probeFlush()
-		m.probeDepth++
-		if m.probeDepth > m.probeMax {
-			m.probeMax = m.probeDepth
-		}
 	}
 }
 
@@ -304,9 +280,6 @@ func (m *machine) regionExit() {
 		if n := len(m.gpStack); n > 0 {
 			m.gpStack[n-1].childWork += total
 		}
-	case interp.Probe:
-		m.probeFlush()
-		m.probeDepth--
 	}
 }
 
@@ -449,7 +422,6 @@ func (m *machine) call(fc *FuncCode, args []val, argVecs []shadow.Vec, callerFS 
 	profiled := m.cfg.Mode != interp.Plain
 	var fs *kremlib.FrameState
 	gpEntryDepth := len(m.gpStack)
-	probeEntryDepth := m.probeDepth
 	if m.cfg.Mode == interp.HCPA {
 		fs = m.rt.NewFrame(fc.F, callerFS)
 	}
@@ -548,14 +520,9 @@ func (m *machine) call(fc *FuncCode, args []val, argVecs []shadow.Vec, callerFS 
 		retVec = fs.RetVec
 	}
 	if profiled {
-		switch m.cfg.Mode {
-		case interp.HCPA:
+		if m.cfg.Mode == interp.HCPA {
 			m.rt.Unwind(fs.EntryDepth)
-		case interp.Probe:
-			for m.probeDepth > probeEntryDepth {
-				m.regionExit()
-			}
-		default:
+		} else {
 			for len(m.gpStack) > gpEntryDepth {
 				m.regionExit()
 			}

@@ -23,8 +23,7 @@ type FuncInstr struct {
 	PopAt map[*ir.Block]*ir.Block
 	// Events holds the precomputed region transitions of every CFG edge,
 	// keyed by from.ID<<32|to.ID. Populated eagerly in Build so the table
-	// is read-only afterwards and safe to share across concurrent shard
-	// runs.
+	// is read-only afterwards and safe to share across concurrent runs.
 	Events map[uint64]regions.EdgeEvents
 	Info   *regions.FuncInfo
 }

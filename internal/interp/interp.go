@@ -32,7 +32,6 @@ const (
 	Plain Mode = iota // no profiling
 	Gprof             // per-region work only (a serial time profiler)
 	HCPA              // full hierarchical critical path analysis
-	Probe             // per-depth work histogram (sizes sharded depth windows)
 )
 
 // Config configures a run.
@@ -76,10 +75,6 @@ type Result struct {
 	// ShadowPages/ShadowWrites report shadow-memory pressure (HCPA mode).
 	ShadowPages  int
 	ShadowWrites uint64
-	// DepthWork[d] is the work executed while d regions were active (Probe
-	// mode); MaxRegionDepth is the deepest nesting observed.
-	DepthWork      []uint64
-	MaxRegionDepth int
 	// CarriedDeps lists the loop regions (by static region ID, sorted) that
 	// exhibited a dynamic loop-carried flow dependence. Only populated in
 	// HCPA mode with Options.TraceDeps set.
@@ -152,13 +147,6 @@ type machine struct {
 	gpTotal []uint64
 	gpCount []int64
 	gpStack []gpFrame
-
-	// probe mode: work is attributed to the nesting depth it ran at,
-	// flushed lazily at region boundaries (O(region events), not O(steps)).
-	probeDepth int
-	probeMax   int
-	probeMark  uint64
-	depthWork  []uint64
 
 	// HCPA mode
 	rt   *kremlib.Runtime
@@ -234,11 +222,6 @@ func Run(mod *ir.Module, cfg Config) (*Result, error) {
 		res.ShadowPages = m.rt.Mem().NumPages()
 		res.ShadowWrites = m.rt.Mem().Writes
 		res.CarriedDeps = m.rt.CarriedDeps()
-	case Probe:
-		m.probeFlush()
-		res.Work = m.work
-		res.DepthWork = m.depthWork
-		res.MaxRegionDepth = m.probeMax
 	case Gprof:
 		res.Work = m.work
 		for id := range m.gpTotal {
@@ -357,16 +340,6 @@ func (m *machine) checkLive() error {
 	return nil
 }
 
-// probeFlush attributes work since the last region boundary to the depth
-// it ran at.
-func (m *machine) probeFlush() {
-	for m.probeDepth >= len(m.depthWork) {
-		m.depthWork = append(m.depthWork, 0)
-	}
-	m.depthWork[m.probeDepth] += m.work - m.probeMark
-	m.probeMark = m.work
-}
-
 // regionEnter/regionExit/regionIterate dispatch to whichever profiler is on.
 func (m *machine) regionEnter(r *regions.Region) {
 	switch m.cfg.Mode {
@@ -375,12 +348,6 @@ func (m *machine) regionEnter(r *regions.Region) {
 	case Gprof:
 		m.gpStack = append(m.gpStack, gpFrame{regionID: r.ID, entryWork: m.work})
 		m.gpCount[r.ID]++
-	case Probe:
-		m.probeFlush()
-		m.probeDepth++
-		if m.probeDepth > m.probeMax {
-			m.probeMax = m.probeDepth
-		}
 	}
 }
 
@@ -397,9 +364,6 @@ func (m *machine) regionExit() {
 		if n := len(m.gpStack); n > 0 {
 			m.gpStack[n-1].childWork += total
 		}
-	case Probe:
-		m.probeFlush()
-		m.probeDepth--
 	}
 }
 
@@ -431,7 +395,6 @@ func (m *machine) call(f *ir.Func, args []val, argVecs []shadow.Vec, callerFS *k
 	var fs *kremlib.FrameState
 	var fi *instrument.FuncInstr
 	gpEntryDepth := len(m.gpStack)
-	probeEntryDepth := m.probeDepth
 	if m.cfg.Mode == HCPA {
 		fs = m.rt.NewFrame(f, callerFS)
 	}
@@ -655,14 +618,9 @@ func (m *machine) call(f *ir.Func, args []val, argVecs []shadow.Vec, callerFS *k
 
 	if profiled {
 		// Exit any loops left open plus the function region.
-		switch m.cfg.Mode {
-		case HCPA:
+		if m.cfg.Mode == HCPA {
 			m.rt.Unwind(fs.EntryDepth)
-		case Probe:
-			for m.probeDepth > probeEntryDepth {
-				m.regionExit()
-			}
-		default:
+		} else {
 			for len(m.gpStack) > gpEntryDepth {
 				m.regionExit()
 			}

@@ -2,8 +2,8 @@
 // source hash → verified, ready-to-execute program. A warm submission skips
 // the whole front end (lex/parse/typecheck/irbuild/analysis and the
 // bytecode compile) even when the whole-job cache misses — the same program
-// resubmitted with different shards or a different personality, or an
-// IR bundle of a program first seen as source.
+// resubmitted with a different personality, or an IR bundle of a program
+// first seen as source.
 //
 // The cache is a bounded LRU (entry count and held-bytes caps, either 0 =
 // unbounded) with single-flight misses: concurrent submissions of the same

@@ -48,8 +48,6 @@ type active struct {
 	entryWork uint64
 	// children is the run-length-encoded child sequence in execution
 	// order: consecutive identical child summaries extend the last run.
-	// The order is load-bearing — the depth-window stitcher aligns shard
-	// dictionaries by it (see profile.InternRuns).
 	children []profile.Child
 }
 

@@ -96,6 +96,21 @@ int main() {
 	return b[3];
 }
 `},
+		{"helper-return-index", `
+int a[10];
+int h(int x) {
+	int r = x + 17;
+	return r;
+}
+int main() {
+	int k = h(3);
+	int s = 0;
+	for (int i = 0; i < 2; i++) {
+		s = s + a[k];
+	}
+	return s;
+}
+`},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -14,17 +14,13 @@ import (
 // the input is a generator seed, the body is the differential/metamorphic
 // oracle. `go test -fuzz=FuzzPipeline ./internal/krfuzz` explores seeds
 // far beyond the deterministic 200 that run in tier-1.
-//
-// Sharded equivalence is restricted to K=2 here to keep per-input cost
-// low; the campaign (kremlin-bench -experiment fuzz) covers K=2,3,4.
 func FuzzPipeline(f *testing.F) {
 	for seed := int64(0); seed < 16; seed++ {
 		f.Add(seed)
 	}
-	cfg := OracleConfig{ShardCounts: []int{2}}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		p := Generate(seed, Default())
-		if err := Check("fuzz.kr", p.Source(), cfg); err != nil {
+		if err := Check("fuzz.kr", p.Source(), OracleConfig{}); err != nil {
 			fail := err.(*Failure)
 			t.Fatalf("seed %d: %v\n--- program ---\n%s", seed, err, fail.Source)
 		}
@@ -48,7 +44,7 @@ func TestSubscriptCorpusOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := Check(filepath.Base(path), string(src), OracleConfig{ShardCounts: []int{2}}); err != nil {
+			if err := Check(filepath.Base(path), string(src), OracleConfig{}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -73,7 +69,7 @@ func TestVMCorpusOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := Check(filepath.Base(path), string(src), OracleConfig{ShardCounts: []int{2}}); err != nil {
+			if err := Check(filepath.Base(path), string(src), OracleConfig{}); err != nil {
 				t.Fatal(err)
 			}
 		})

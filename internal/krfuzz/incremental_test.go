@@ -74,7 +74,7 @@ func TestMutateSignaturePreserving(t *testing.T) {
 		}
 		// The mutated program must still pass the base oracle (safety is
 		// preserved by construction).
-		if err := Check("krmut.kr", edit, OracleConfig{SkipSharded: true}); err != nil {
+		if err := Check("krmut.kr", edit, OracleConfig{}); err != nil {
 			t.Fatalf("seed %d: mutated program fails base oracle: %v\n%s", seed, err, edit)
 		}
 	}

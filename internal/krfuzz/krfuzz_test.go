@@ -7,8 +7,7 @@ import (
 )
 
 // TestOracle200 is the tier-1 property test: 200 seeded programs through
-// the full differential/metamorphic oracle (including sharded-equivalence
-// at K=2,3,4). The acceptance budget is 60 seconds; the suite runs in a
+// the full differential/metamorphic oracle. The acceptance budget is 60 seconds; the suite runs in a
 // few seconds, so a breach signals a pipeline performance regression, not
 // just flakiness.
 func TestOracle200(t *testing.T) {
@@ -73,7 +72,7 @@ func TestGenerateDiverse(t *testing.T) {
 func TestStressConfig(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		p := Generate(seed, Stress())
-		if err := Check("krfuzz.kr", p.Source(), OracleConfig{SkipSharded: true}); err != nil {
+		if err := Check("krfuzz.kr", p.Source(), OracleConfig{}); err != nil {
 			t.Fatalf("seed %d (stress): %v\nsource:\n%s", seed, err, p.Source())
 		}
 	}
@@ -125,7 +124,7 @@ func TestCampaignClean(t *testing.T) {
 	res, err := RunCampaign(CampaignConfig{
 		N:      30,
 		Seed:   1000,
-		Oracle: OracleConfig{ShardCounts: []int{2}},
+		Oracle: OracleConfig{},
 		OutDir: t.TempDir(),
 	})
 	if err != nil {

@@ -3,7 +3,6 @@ package krfuzz
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"reflect"
 	"strings"
 
@@ -23,7 +22,7 @@ import (
 type Failure struct {
 	Seed   int64  // generating seed, if known (0 for external sources)
 	Source string // full Kr source of the failing program
-	Check  string // the oracle check that failed, e.g. "sharded-equivalence"
+	Check  string // the oracle check that failed, e.g. "engine-profile"
 	Detail string // what differed
 }
 
@@ -37,12 +36,6 @@ type OracleConfig struct {
 	// programs are tiny; the bound exists to turn a hypothetical
 	// non-termination bug into a reported failure instead of a hang.
 	MaxSteps uint64
-	// ShardCounts are the K values checked against the sequential K=1
-	// profile (nil = {2, 3, 4}).
-	ShardCounts []int
-	// SkipSharded drops the sharded-equivalence checks (the most expensive
-	// part) — used by the fuzz-target quick path.
-	SkipSharded bool
 }
 
 func (c OracleConfig) maxSteps() uint64 {
@@ -50,13 +43,6 @@ func (c OracleConfig) maxSteps() uint64 {
 		return 50_000_000
 	}
 	return c.MaxSteps
-}
-
-func (c OracleConfig) shardCounts() []int {
-	if c.ShardCounts == nil {
-		return []int{2, 3, 4}
-	}
-	return c.ShardCounts
 }
 
 // Check runs the full oracle on one Kr program. A nil return means every
@@ -67,8 +53,7 @@ func (c OracleConfig) shardCounts() []int {
 //
 //	plain interpretation  — ground truth for output and work
 //	gprof mode            — instrumented control flow, work-only counters
-//	HCPA mode (K=1)       — full shadow-memory profiling
-//	sharded HCPA K=2,3,4  — concurrent depth-window collection + stitch
+//	HCPA mode             — full shadow-memory profiling
 //	optimizer on          — semantics preserved, work never increased
 //	dependence breaking off — profile changes, observable behavior must not
 func Check(name, src string, cfg OracleConfig) error {
@@ -253,48 +238,6 @@ func Check(name, src string, cfg OracleConfig) error {
 	}
 	if !bytes.Equal(profileBytes(rt), b1) {
 		return fail("serialize-roundtrip", "profile changed across WriteTo/ReadFrom")
-	}
-
-	// Metamorphic: sharded collection at every K must stitch to a profile
-	// indistinguishable from the sequential one.
-	if !cfg.SkipSharded {
-		fullPlan := prog.Plan(prof, planner.OpenMP()).Render()
-		fullSum := prog.Summarize(prof)
-		for _, k := range cfg.shardCounts() {
-			sprof, sres, err := prog.ProfileSharded(run(&strings.Builder{}), k)
-			if err != nil {
-				return fail("sharded-run", "K=%d: %v", k, err)
-			}
-			if got := sres.Work(); got != plain.Work {
-				return fail("sharded-work", "K=%d: sharded work %d, plain %d", k, got, plain.Work)
-			}
-			if sprof.TotalWork() != prof.TotalWork() {
-				return fail("sharded-equivalence", "K=%d: stitched TotalWork %d, sequential %d", k, sprof.TotalWork(), prof.TotalWork())
-			}
-			if sprof.Dict.RawCount != prof.Dict.RawCount {
-				return fail("sharded-equivalence", "K=%d: stitched RawCount %d, sequential %d", k, sprof.Dict.RawCount, prof.Dict.RawCount)
-			}
-			if plan := prog.Plan(sprof, planner.OpenMP()).Render(); plan != fullPlan {
-				return fail("sharded-plan", "K=%d: plan diverged\n--- sequential ---\n%s\n--- sharded ---\n%s", k, fullPlan, plan)
-			}
-			ssum := prog.Summarize(sprof)
-			for id, st := range ssum.Stats {
-				fst := fullSum.Stats[id]
-				if (st == nil) != (fst == nil) {
-					return fail("sharded-equivalence", "K=%d: region %d executed in only one profile", k, id)
-				}
-				if st == nil {
-					continue
-				}
-				if st.TotalWork != fst.TotalWork || st.TotalCP != fst.TotalCP || st.Instances != fst.Instances {
-					return fail("sharded-equivalence", "K=%d: region %d aggregates diverged: work %d/%d cp %d/%d n %d/%d",
-						k, id, st.TotalWork, fst.TotalWork, st.TotalCP, fst.TotalCP, st.Instances, fst.Instances)
-				}
-				if math.Abs(st.SelfP-fst.SelfP) > 1e-9*math.Max(1, fst.SelfP) {
-					return fail("sharded-equivalence", "K=%d: region %d SelfP diverged: %g vs %g", k, id, st.SelfP, fst.SelfP)
-				}
-			}
-		}
 	}
 
 	// Metamorphic: the optimizer must preserve observable behavior and

@@ -1,6 +1,6 @@
 // Package limits defines the typed run-limit errors shared by every layer
 // of the execution pipeline — the interpreter, the KremLib runtime, the
-// sharded profiler, the CLIs, and the serve daemon. A run that is
+// CLIs, and the serve daemon. A run that is
 // cancelled, exhausts its instruction budget, or exceeds a memory cap
 // fails with one of these errors instead of wedging or killing the
 // process, so callers can distinguish "the program is broken" from "the
@@ -37,7 +37,7 @@ const (
 // Sentinel causes, matched with errors.Is.
 var (
 	// ErrCancelled marks a run stopped by context cancellation — a caller
-	// deadline, a client disconnect, or a sibling shard's failure.
+	// deadline or a client disconnect.
 	ErrCancelled = errors.New("run cancelled")
 	// ErrBudgetExceeded marks a run that used up its instruction budget.
 	ErrBudgetExceeded = errors.New("instruction budget exceeded")

@@ -12,10 +12,9 @@
 // Children are kept as a run-length-encoded sequence in execution order,
 // not a character-sorted multiset. For the dominant pattern — a loop whose
 // iterations summarize identically — this is one run, so compression is
-// unaffected; for irregular interleavings it preserves exactly the
-// information the depth-window stitcher (internal/parallel) needs to align
-// shard dictionaries instance-by-instance. All HCPA metrics are sums over
-// the runs and do not depend on the order.
+// unaffected; for irregular interleavings it records the children in the
+// order they ran. All HCPA metrics are sums over the runs and do not
+// depend on the order.
 package profile
 
 import (

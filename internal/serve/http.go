@@ -8,7 +8,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"strconv"
 	"strings"
 
 	"kremlin"
@@ -16,9 +15,9 @@ import (
 
 // Handler returns the daemon's HTTP API:
 //
-//	POST /profile?name=prog.kr&personality=openmp&shards=K
+//	POST /profile?name=prog.kr&personality=openmp
 //	    Body: Kr source. Response: NDJSON event stream (see Event).
-//	POST /v1/jobs?name=prog.kr&personality=openmp&shards=K
+//	POST /v1/jobs?name=prog.kr&personality=openmp
 //	    Body: Kr source, or a precompiled KRIB1 IR bundle when
 //	    Content-Type is application/x-kremlin-ir. Same response stream.
 //	GET /healthz
@@ -132,15 +131,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, allowBundl
 		s.reject(w, "analysis_error", fmt.Sprintf("unknown personality %q", pers))
 		return
 	}
-	shards := s.cfg.Shards
-	if v := r.URL.Query().Get("shards"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 || n > 64 {
-			s.reject(w, "analysis_error", "shards must be an integer in [1,64]")
-			return
-		}
-		shards = n
-	}
 
 	// The job deadline starts at admission: queue wait spends the same
 	// budget as execution, so a drowning daemon fails jobs fast instead
@@ -152,7 +142,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, allowBundl
 		name:        name,
 		tenant:      tenant(r),
 		personality: pers,
-		shards:      shards,
 		ctx:         ctx,
 		cancel:      cancel,
 		events:      make(chan Event, 16),

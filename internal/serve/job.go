@@ -15,7 +15,6 @@ import (
 	"kremlin/internal/ircache"
 	"kremlin/internal/limits"
 	"kremlin/internal/planner"
-	"kremlin/internal/profile"
 	"kremlin/internal/serve/chaos"
 )
 
@@ -90,7 +89,6 @@ type job struct {
 	bundle      []byte // KRIB1 bundle (nil for source jobs)
 	tenant      string // caller identity; scopes the shared inccache keyspace
 	personality string
-	shards      int
 
 	ctx    context.Context // deadline + client-disconnect; cancel is the handler's
 	cancel context.CancelFunc
@@ -248,7 +246,7 @@ func (s *Server) runJob(j *job) {
 	var cached []Event
 	if s.jobCache != nil {
 		kind, payload := j.payload()
-		cacheKey = jobKey(kind, payload, j.personality, j.shards, s.cfg.Engine)
+		cacheKey = jobKey(kind, payload, j.personality, s.cfg.Engine)
 		evs, hit, corrupt := s.jobCache.lookup(cacheKey)
 		if corrupt {
 			s.cacheCorrupt.Add(1)
@@ -306,25 +304,7 @@ func (s *Server) runJob(j *job) {
 		rc.CacheScope = j.tenant
 		rc.CacheStats = &incStats
 	}
-	var (
-		prof        *profile.Profile
-		work, steps uint64
-	)
-	if j.shards > 1 {
-		p, res, perr := prog.ProfileSharded(rc, j.shards)
-		err = perr
-		if res != nil && len(res.Runs) > 0 {
-			work, steps = res.Work(), res.Runs[0].Steps
-		}
-		prof = p
-	} else {
-		p, res, perr := prog.Profile(rc)
-		err = perr
-		if res != nil {
-			work, steps = res.Work, res.Steps
-		}
-		prof = p
-	}
+	prof, res, err := prog.Profile(rc)
 	if s.cfg.IncCache != nil {
 		s.incLookups.Add(incStats.Lookups)
 		s.incHits.Add(incStats.Hits)
@@ -345,8 +325,8 @@ func (s *Server) runJob(j *job) {
 	}
 	cacheEmit(Event{
 		Type:        "profile",
-		Work:        work,
-		Steps:       steps,
+		Work:        res.Work,
+		Steps:       res.Steps,
 		DictEntries: len(prof.Dict.Entries),
 		RawBytes:    prof.RawBytes(),
 		KRPF2:       base64.StdEncoding.EncodeToString(pb.Bytes()),

@@ -1,12 +1,11 @@
 package serve
 
 // jobCache memoizes whole successful jobs, content-addressed by the exact
-// inputs that determine the result: the Kr source plus the personality,
-// shard count, and engine the daemon would run it with. Profiling is
-// deterministic for a fixed (source, shards, engine), so a cached event
-// stream is byte-identical to what re-execution would produce — the cache
-// trades memory for skipping the entire compile/profile/plan/vet pipeline
-// on repeat submissions.
+// inputs that determine the result: the Kr source plus the personality
+// and engine the daemon would run it with. Profiling is deterministic for
+// a fixed (source, engine), so a cached event stream is byte-identical to
+// what re-execution would produce — the cache trades memory for skipping
+// the entire compile/profile/plan/vet pipeline on repeat submissions.
 //
 // Entries carry a checksum taken at insert time, verified on every
 // lookup. A damaged entry (chaos-injected or otherwise) is detected,
@@ -45,9 +44,9 @@ func newJobCache(max int) *jobCache {
 // jobKey addresses a result by everything that can change it, including
 // the payload kind ("src" or "irb") — a source text and an IR bundle with
 // identical bytes are different programs.
-func jobKey(kind, payload, personality string, shards int, engine kremlin.Engine) string {
+func jobKey(kind, payload, personality string, engine kremlin.Engine) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%d\x00%d\x00%s\x00", kind, engine, shards, personality)
+	fmt.Fprintf(h, "%s\x00%d\x00%s\x00", kind, engine, personality)
 	h.Write([]byte(payload))
 	return fmt.Sprintf("%x", h.Sum(nil)[:16])
 }

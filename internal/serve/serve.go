@@ -76,20 +76,17 @@ type Config struct {
 	// by the X-Kremlin-Tenant header, falling back to the client host.
 	RatePerSec float64
 	RateBurst  int
-	// Shards > 1 runs each job's HCPA collection sharded across that many
-	// depth windows.
-	Shards int
 	// Engine selects the per-job execution engine (default: bytecode VM).
 	Engine kremlin.Engine
 	// JobCache > 0 memoizes up to that many successful jobs, keyed by a
-	// content hash of (payload, personality, shards, engine). A repeat
-	// submission is answered from the cache without re-execution; entries
-	// are checksummed and a damaged entry falls back to re-execution.
-	// 0 disables caching.
+	// content hash of (payload, personality, engine). A repeat submission
+	// is answered from the cache without re-execution; entries are
+	// checksummed and a damaged entry falls back to re-execution. 0
+	// disables caching.
 	JobCache int
 	// CompileCache > 0 memoizes up to that many compiled programs, keyed
 	// by a content hash of the submitted source or IR bundle. A near-repeat
-	// submission — same program, different personality or shards, or the
+	// submission — same program, different personality, or the
 	// whole-job cache missed — skips the entire front end
 	// (lex/parse/typecheck/irbuild/analysis and bytecode compilation) and
 	// re-executes against the shared *kremlin.Program. Concurrent
@@ -152,9 +149,6 @@ func (c Config) withDefaults() Config {
 		if c.RateBurst < 1 {
 			c.RateBurst = 1
 		}
-	}
-	if c.Shards < 1 {
-		c.Shards = 1
 	}
 	if c.Now == nil {
 		c.Now = time.Now

@@ -42,7 +42,6 @@ import (
 	"kremlin/internal/irhash"
 	"kremlin/internal/kremlib"
 	"kremlin/internal/opt"
-	"kremlin/internal/parallel"
 	"kremlin/internal/parser"
 	"kremlin/internal/planner"
 	"kremlin/internal/profile"
@@ -83,10 +82,10 @@ type Program struct {
 	bc        *bytecode.Program
 }
 
-// Engine selects the execution engine backing Run/RunGprof/Profile/
-// ProfileSharded. Both engines are observably identical — same output,
-// counters, profiles, plans, errors, and limit-stop prefixes (the krfuzz
-// differential oracle enforces this); they differ only in speed.
+// Engine selects the execution engine backing Run/RunGprof/Profile. Both
+// engines are observably identical — same output, counters, profiles,
+// plans, errors, and limit-stop prefixes (the krfuzz differential oracle
+// enforces this); they differ only in speed.
 type Engine int
 
 // Engines. The bytecode VM is the default; the tree-walking interpreter
@@ -252,7 +251,7 @@ type RunConfig struct {
 	// executing, and fresh extents are recorded for future runs. The
 	// resulting profile is byte-identical to an uncached run. Ignored (the
 	// run is simply uncached) when the configuration is incompatible with
-	// replay: TraceDeps, a non-default depth window, or sharded profiling.
+	// replay: TraceDeps or a non-default depth window.
 	Cache *inccache.Store
 	// CacheScope, when non-empty, isolates this run's cache keyspace: records
 	// read and written under one scope are invisible to every other scope of
@@ -359,32 +358,6 @@ func (p *Program) safetyVector() []uint8 {
 		out[i] = uint8(r.Safety)
 	}
 	return out
-}
-
-// ProfileSharded splits HCPA collection across shards complementary
-// region-depth windows executed concurrently (each with its own runtime and
-// shadow memory) and stitches the windowed profiles into one full-depth
-// profile. A probe pre-pass sizes the windows so the tracking cost is
-// balanced. shards ≤ 1 degenerates to one sequential full-window run.
-func (p *Program) ProfileSharded(cfg *RunConfig, shards int) (*profile.Profile, *parallel.Result, error) {
-	pc := parallel.Config{Shards: shards}
-	if cfg != nil {
-		pc.Out = cfg.Out
-		pc.MaxSteps = cfg.MaxSteps
-		pc.MaxDepth = cfg.MaxDepth
-		pc.Ctx = cfg.Ctx
-		pc.MaxShadowPages = cfg.MaxShadowPages
-		pc.MaxHeapWords = cfg.MaxHeapWords
-	}
-	if cfg == nil || cfg.Engine != EngineTree {
-		pc.Code = p.code()
-	}
-	res, err := parallel.Run(p.Module, p.Regions, p.Instr, pc)
-	if err != nil {
-		return nil, nil, err
-	}
-	res.Profile.Safety = p.safetyVector()
-	return res.Profile, res, nil
 }
 
 // CheckProfile reports an error unless every dictionary entry of prof

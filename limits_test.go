@@ -14,7 +14,6 @@ import (
 	"kremlin/internal/interp"
 	"kremlin/internal/kremlib"
 	"kremlin/internal/limits"
-	"kremlin/internal/parallel"
 )
 
 // longProg runs a few hundred thousand interpreter steps — far past the
@@ -480,64 +479,5 @@ func TestAbsintOffPrefixParity(t *testing.T) {
 			t.Errorf("budget %d: output prefix diverged:\n--- on ---\n%s--- off ---\n%s",
 				b, onOut.String(), offOut.String())
 		}
-	}
-}
-
-// TestShardPanicFailsJob injects a panic into one shard goroutine via the
-// fault hook and requires the job to fail with a PanicError — promptly,
-// without deadlocking the stitcher or killing the process.
-func TestShardPanicFailsJob(t *testing.T) {
-	prog := compileT(t, longProg)
-	done := make(chan error, 1)
-	go func() {
-		_, err := parallel.Run(prog.Module, prog.Regions, prog.Instr, parallel.Config{
-			Shards: 4,
-			ShardHook: func(shard int) {
-				if shard == 2 {
-					panic("chaos: injected shard panic")
-				}
-			},
-		})
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		var pe *parallel.PanicError
-		if !errors.As(err, &pe) {
-			t.Fatalf("err = %v, want *parallel.PanicError", err)
-		}
-		if pe.Shard != 2 {
-			t.Errorf("PanicError.Shard = %d, want 2", pe.Shard)
-		}
-		if len(pe.Stack) == 0 {
-			t.Error("PanicError carries no stack trace")
-		}
-		if kremlin.Classify(err) != kremlin.KindRuntime {
-			t.Errorf("Classify = %v, want KindRuntime", kremlin.Classify(err))
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("sharded run deadlocked after shard panic")
-	}
-}
-
-// TestShardStallCancelled proves a stalled shard cannot wedge the job:
-// the caller's deadline cancels every sibling and the stall's own run.
-func TestShardCancellation(t *testing.T) {
-	prog := compileT(t, longProg)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, _, err := prog.ProfileSharded(&kremlin.RunConfig{Ctx: ctx}, 4)
-	if !errors.Is(err, limits.ErrCancelled) {
-		t.Fatalf("err = %v, want ErrCancelled", err)
-	}
-}
-
-// TestShardBudget: a budget violation inside one shard fails the whole
-// job with the budget error, not the sibling-cancellation cascade.
-func TestShardBudget(t *testing.T) {
-	prog := compileT(t, longProg)
-	_, _, err := prog.ProfileSharded(&kremlin.RunConfig{MaxSteps: 50_000}, 4)
-	if !errors.Is(err, limits.ErrBudgetExceeded) {
-		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
 }
