@@ -368,7 +368,10 @@ func BenchmarkDispatchHCPA(b *testing.B) {
 // TestVMHotPathAllocs proves the VM dispatch loop allocates nothing per
 // step: total allocations for a run must not grow with the step count
 // (fixed setup allocations — machine, globals, register file — are the
-// same for both programs; only the loop trip count differs).
+// same for both programs; only the loop trip count differs). Under -race
+// the program's one print may allocate two more objects per run: it
+// formats through fmt.Sprintf, whose printer comes from a sync.Pool, and
+// the race detector makes the pool drop a random quarter of its items.
 func TestVMHotPathAllocs(t *testing.T) {
 	mk := func(iters int) *kremlin.Program {
 		src := fmt.Sprintf(`
@@ -401,7 +404,11 @@ void main() {
 	}
 	small := measure(mk(10))
 	big := measure(mk(2000)) // ~200× the steps
-	if big > small+0.5 {
+	slack := 0.5
+	if raceEnabled {
+		slack += 2
+	}
+	if big > small+slack {
 		t.Errorf("VM allocations scale with steps: %v allocs at 10 iters, %v at 2000", small, big)
 	}
 }

@@ -17,10 +17,11 @@
 //     stays under the budget and does not cross a poll boundary
 //     (limits.LiveCheckInterval); otherwise it runs its exact copy.
 //   - HCPA bookkeeping is batched per block: every block carries a
-//     precompiled kremlib.BlockTemplate, and every edge into a block with
-//     phis an edge template. A fused block issues one StepBlock for the
-//     incoming edge's phis and its body together, instead of one Step per
-//     instruction. Loads and stores batch too: the VM records each
+//     precompiled kremlib.BlockTemplate, every fused block a compacted
+//     one with its block-local temporaries inlined, and every edge into a
+//     block with phis an edge template. A fused block issues one
+//     StepBlock for the incoming edge's phis and its compacted body
+//     together, instead of one Step per instruction. Loads and stores batch too: the VM records each
 //     load/store address in a per-machine buffer, in block order, and
 //     StepBlock replays the shadow-memory reads and writes from it. A
 //     block run exactly replays its template in runs cut at each call.
@@ -274,13 +275,19 @@ type BBlock struct {
 	// fail the heap cap mid-block, and partial results must be exact
 	// prefixes) have none and always run their exact range.
 	Fused bool
-	// Tpl is the block's HCPA template: one entry per body instruction
-	// except params, loads, stores, the return and rand/print builtins
-	// included. It serves both ranges: a fused run replays it whole after
-	// execFast, fused with the incoming edge's phis; an exact run replays
-	// it in runs cut at each call (the call's own entry closes its run, so
-	// it lands before the callee runs).
+	// Tpl is the block's plain HCPA template: one entry per body
+	// instruction except params, loads, stores, the return and rand/print
+	// builtins included. An exact run replays it in runs cut at each call
+	// (the call's own entry closes its run, so it lands before the callee
+	// runs); a fused run replays it whole after execFast, fused with the
+	// incoming edge's phis, when the runtime traces dependences.
 	Tpl kremlib.BlockTemplate
+	// Compact is a fused block's compacted template (kremlib.Compactor):
+	// block-local temporaries inlined into their consumers and the jump
+	// dropped. The fused path replays it, unless the runtime traces
+	// dependences (the tracer reads every operand); exact runs and edges
+	// replay plain templates. Nil for blocks without a fused range.
+	Compact kremlib.BlockTemplate
 	// HasPush/PopAt: the branch pushes a control-dependence entry popped
 	// at PopAt (precompiled from the instrumentation tables).
 	HasPush bool

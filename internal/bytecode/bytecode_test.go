@@ -457,12 +457,30 @@ void main() {
 
 // TestVerifyRejectsCorruption corrupts compiled bytecode in targeted ways
 // and checks the verifier catches each one.
+// inlinedValue returns a value b's compacted template inlines: one its
+// plain template writes and the compacted one does not.
+func inlinedValue(b *BBlock) (int32, bool) {
+	kept := map[int32]bool{}
+	for _, ti := range b.Compact {
+		kept[ti.Res] = true
+	}
+	for _, ti := range b.Tpl {
+		if ti.Res >= 0 && !kept[ti.Res] {
+			return ti.Res, true
+		}
+	}
+	return 0, false
+}
+
 func TestVerifyRejectsCorruption(t *testing.T) {
 	corruptions := []struct {
 		name string
 		mut  func(fc *FuncCode) bool // returns false if not applicable
+		// prog names the test program to corrupt ("arith" when empty);
+		// want, when set, is a substring the verifier's error must hold.
+		prog, want string
 	}{
-		{"dst-out-of-range", func(fc *FuncCode) bool {
+		{name: "dst-out-of-range", mut: func(fc *FuncCode) bool {
 			for i := range fc.Code {
 				if fc.Code[i].Op == opAddI || fc.Code[i].Op == opMulI {
 					fc.Code[i].Dst = int32(fc.NumRegs) + 5
@@ -471,7 +489,7 @@ func TestVerifyRejectsCorruption(t *testing.T) {
 			}
 			return false
 		}},
-		{"operand-out-of-range", func(fc *FuncCode) bool {
+		{name: "operand-out-of-range", mut: func(fc *FuncCode) bool {
 			for i := range fc.Code {
 				if fc.Code[i].Op == opAddI || fc.Code[i].Op == opMulI {
 					fc.Code[i].A = -3
@@ -480,14 +498,14 @@ func TestVerifyRejectsCorruption(t *testing.T) {
 			}
 			return false
 		}},
-		{"edge-target-out-of-range", func(fc *FuncCode) bool {
+		{name: "edge-target-out-of-range", mut: func(fc *FuncCode) bool {
 			if len(fc.Edges) == 0 {
 				return false
 			}
 			fc.Edges[0].Target = int32(len(fc.Blocks) + 9)
 			return true
 		}},
-		{"terminator-mid-block", func(fc *FuncCode) bool {
+		{name: "terminator-mid-block", mut: func(fc *FuncCode) bool {
 			for bi := range fc.Blocks {
 				b := &fc.Blocks[bi]
 				if !b.Fused || b.End-b.Start < 2 {
@@ -500,7 +518,7 @@ func TestVerifyRejectsCorruption(t *testing.T) {
 		}},
 		// A template memory entry with no load/store behind it would make
 		// StepBlock read past the block's address buffer.
-		{"template-memory-mismatch", func(fc *FuncCode) bool {
+		{name: "template-memory-mismatch", mut: func(fc *FuncCode) bool {
 			for bi := range fc.Blocks {
 				tpl := fc.Blocks[bi].Tpl
 				for i := range tpl {
@@ -514,7 +532,7 @@ func TestVerifyRejectsCorruption(t *testing.T) {
 		}},
 		// An edge template entry that writes another register than its phi
 		// would leave the phi's shadow vector stale.
-		{"edge-template-mismatch", func(fc *FuncCode) bool {
+		{name: "edge-template-mismatch", mut: func(fc *FuncCode) bool {
 			for ei := range fc.Edges {
 				if tpl := fc.Edges[ei].Tpl; len(tpl) > 0 {
 					tpl[0].Res = (tpl[0].Res + 1) % fc.ConstBase
@@ -525,12 +543,79 @@ func TestVerifyRejectsCorruption(t *testing.T) {
 		}},
 		// Inline operands that disagree with Args would fold another
 		// register than the one the tracer notes.
-		{"template-inline-operands", func(fc *FuncCode) bool {
+		{name: "template-inline-operands", mut: func(fc *FuncCode) bool {
 			for bi := range fc.Blocks {
 				tpl := fc.Blocks[bi].Tpl
 				for i := range tpl {
 					if tpl[i].N == 2 {
-						tpl[i].Args = []int32{tpl[i].A, tpl[i].B}
+						tpl[i].Args = []kremlib.TplOp{tpl[i].A, tpl[i].B}
+						return true
+					}
+				}
+			}
+			return false
+		}},
+		// A compacted root that is an inlined temporary reads a register
+		// no replay of the fused path ever writes.
+		{name: "compact-stale-root", prog: "arrays", want: "neither live into the block", mut: func(fc *FuncCode) bool {
+			for bi := range fc.Blocks {
+				b := &fc.Blocks[bi]
+				v, ok := inlinedValue(b)
+				for i := range b.Compact {
+					if ok && b.Compact[i].N >= 1 {
+						b.Compact[i].A.Reg = v
+						return true
+					}
+				}
+			}
+			return false
+		}},
+		// A root offset above the base offset would let a root whose tag
+		// check fails — skipped by the replay — matter.
+		{name: "compact-offset-above-base", prog: "arrays", want: "offset", mut: func(fc *FuncCode) bool {
+			for bi := range fc.Blocks {
+				tpl := fc.Blocks[bi].Compact
+				for i := range tpl {
+					if tpl[i].N >= 1 {
+						tpl[i].A.Off = tpl[i].Base + 1
+						return true
+					}
+				}
+			}
+			return false
+		}},
+		// A load turned store no longer lines up with the fused range's
+		// address buffer.
+		{name: "compact-memory-order", prog: "arrays", want: "memory entry", mut: func(fc *FuncCode) bool {
+			for bi := range fc.Blocks {
+				tpl := fc.Blocks[bi].Compact
+				for i := range tpl {
+					if tpl[i].Kind == kremlib.TplLoad {
+						tpl[i].Kind = kremlib.TplStore
+						return true
+					}
+				}
+			}
+			return false
+		}},
+		// Without its branch entry last, a pushing block would push
+		// another entry's vector as its control time.
+		{name: "compact-branch-not-last", prog: "arrays", want: "not last", mut: func(fc *FuncCode) bool {
+			for bi := range fc.Blocks {
+				if b := &fc.Blocks[bi]; b.HasPush && len(b.Compact) > 0 {
+					b.Compact = b.Compact[:len(b.Compact)-1]
+					return true
+				}
+			}
+			return false
+		}},
+		// A value some other block reads must keep its entry.
+		{name: "compact-drops-live-out", prog: "arrays", mut: func(fc *FuncCode) bool {
+			for bi := range fc.Blocks {
+				b := &fc.Blocks[bi]
+				for i := range b.Compact {
+					if res := b.Compact[i].Res; res >= 0 && b.Compact[i].Kind == kremlib.TplPlain && usedOutside(fc, b, res) {
+						b.Compact = append(b.Compact[:i:i], b.Compact[i+1:]...)
 						return true
 					}
 				}
@@ -540,7 +625,11 @@ func TestVerifyRejectsCorruption(t *testing.T) {
 	}
 	for _, tc := range corruptions {
 		t.Run(tc.name, func(t *testing.T) {
-			c := compileKr(t, testPrograms["arith"])
+			prog := tc.prog
+			if prog == "" {
+				prog = "arith"
+			}
+			c := compileKr(t, testPrograms[prog])
 			var applied bool
 			for _, fc := range c.prog.Funcs() {
 				if tc.mut(fc) {
@@ -551,11 +640,30 @@ func TestVerifyRejectsCorruption(t *testing.T) {
 			if !applied {
 				t.Skip("corruption not applicable to this program")
 			}
-			if err := Verify(c.prog); err == nil {
+			err := Verify(c.prog)
+			switch {
+			case err == nil:
 				t.Error("Verify accepted corrupted bytecode")
+			case !strings.Contains(err.Error(), tc.want):
+				t.Errorf("Verify: %v, want an error about %q", err, tc.want)
 			}
 		})
 	}
+}
+
+// usedOutside reports whether value v of block b is read by an
+// instruction of another block or by a phi.
+func usedOutside(fc *FuncCode, b *BBlock, v int32) bool {
+	for _, ob := range fc.Blocks {
+		for _, ins := range ob.IR.Instrs {
+			for _, a := range ins.Args {
+				if ai, ok := a.(*ir.Instr); ok && int32(ai.ID) == v && (ob.IR != b.IR || ins.Op == ir.OpPhi) {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // TestDeterminism: two VM runs of an RNG-using program must agree exactly
@@ -682,5 +790,76 @@ void main() {
 	}
 	if outA.String() != outB.String() {
 		t.Errorf("output diverged:\nwith facts: %q\nwithout:    %q", outA.String(), outB.String())
+	}
+}
+
+// TestPlainTemplatePaths pins which template each HCPA path replays. Every
+// fused block's compacted template is replaced by one that panics when
+// replayed (its entry writes a register past the file). A run that traces
+// dependences must not touch it and match the unpoisoned run exactly; so
+// must every run whose blocks take the exact range, here budget stops
+// inside main's first (fused) block; a plain HCPA run must reach it.
+func TestPlainTemplatePaths(t *testing.T) {
+	const src = `
+int a[8];
+int f(int x) { return x * 2 + 1; }
+void main() {
+	int x = 3;
+	int y = x * 5 + 2;
+	int z = y * y - x;
+	a[1] = z + y;
+	a[2] = a[1] * x - z;
+	int s = 0;
+	for (int i = 0; i < 40; i++) {
+		s = s + f(i) * a[i % 8] + i * i;
+		a[(i + 3) % 8] = s % 97;
+	}
+	print(s);
+}`
+	run := func(c *compiled, trace bool, limit uint64) (res *interp.Result, panicked bool, err error) {
+		defer func() {
+			if recover() != nil {
+				panicked = true
+			}
+		}()
+		cfg := c.config(interp.HCPA, io.Discard)
+		cfg.Opts.TraceDeps = trace
+		cfg.MaxSteps = limit
+		res, err = Run(c.prog, cfg)
+		return res, false, err
+	}
+	clean, poisoned := compileKr(t, src), compileKr(t, src)
+	main := poisoned.prog.Func(poisoned.prog.index[poisoned.mod.Main()])
+	if !main.Blocks[0].Fused {
+		t.Fatal("main's first block has no fused range")
+	}
+	for _, fc := range poisoned.prog.Funcs() {
+		for bi := range fc.Blocks {
+			if b := &fc.Blocks[bi]; b.Fused {
+				b.Compact = kremlib.BlockTemplate{{Res: fc.NumRegs + 1<<20}}
+			}
+		}
+	}
+
+	want, _, werr := run(clean, true, 0)
+	got, panicked, gerr := run(poisoned, true, 0)
+	if werr != nil || gerr != nil || panicked {
+		t.Fatalf("TraceDeps runs: clean error %v, poisoned error %v, panicked %v", werr, gerr, panicked)
+	}
+	if !reflect.DeepEqual(got.Profile, want.Profile) || !reflect.DeepEqual(got.CarriedDeps, want.CarriedDeps) || got.Work != want.Work {
+		t.Error("a TraceDeps run replayed a compacted template")
+	}
+	if _, panicked, _ := run(poisoned, false, 0); !panicked {
+		t.Error("a plain HCPA run never replayed a compacted template")
+	}
+	for limit := uint64(1); limit < uint64(main.Blocks[0].NSteps); limit++ {
+		want, _, werr := run(clean, false, limit)
+		got, panicked, gerr := run(poisoned, false, limit)
+		if panicked {
+			t.Fatalf("budget %d: the exact run replayed a compacted template", limit)
+		}
+		if !limits.IsLimit(werr) || fmt.Sprint(gerr) != fmt.Sprint(werr) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("budget %d: poisoned run %+v (%v), clean %+v (%v)", limit, got, gerr, want, werr)
+		}
 	}
 }

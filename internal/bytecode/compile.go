@@ -96,6 +96,15 @@ func compileFunc(f *ir.Func, prog *regions.Program, instr *instrument.Module, fi
 	for i, b := range f.Blocks {
 		c.compileBlock(int32(i), b)
 	}
+	var cp *kremlib.Compactor
+	for i := range c.fc.Blocks {
+		if bb := &c.fc.Blocks[i]; bb.Fused {
+			if cp == nil {
+				cp = kremlib.NewCompactor(f)
+			}
+			bb.Compact = cp.Template(bb.IR.Instrs[len(phisOf(bb.IR)):])
+		}
+	}
 	for i := range c.fc.Blocks {
 		c.emitExact(&c.fc.Blocks[i])
 	}

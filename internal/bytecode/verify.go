@@ -61,6 +61,15 @@ func regUse(op opcode) int {
 	return -1 // unknown opcode
 }
 
+// isStoreOp reports whether a memory opcode (isMemOp) stores.
+func isStoreOp(op opcode) bool {
+	switch op {
+	case opStore, opStIdx, opStIdx2, opStIdxN, opStIdxU, opStIdx2U, opStIdxNU:
+		return true
+	}
+	return false
+}
+
 func isTermOp(op opcode) bool {
 	switch op {
 	case opBr, opBrCmpI, opBrCmpF, opIncCmpBrI, opDecCmpBrI,
@@ -118,6 +127,9 @@ func verifyFunc(p *Program, fc *FuncCode) error {
 		if err := verifyBlock(p, fc, b); err != nil {
 			return fmt.Errorf("block %d (%s): %w", bi, b.IR.Name, err)
 		}
+	}
+	if err := verifyCompact(fc); err != nil {
+		return err
 	}
 	for _, gs := range fc.GlobalSeeds {
 		if gs.Reg < 0 || gs.Reg >= fc.ConstBase {
@@ -230,9 +242,20 @@ func verifyBlockTemplate(fc *FuncCode, b *BBlock) error {
 		return fmt.Errorf("template has %d entries for %d stepped instructions", len(b.Tpl), stepped)
 	}
 	tplMem := 0
+	k := 0
+	for _, ins := range b.IR.Instrs[len(phisOf(b.IR)):] {
+		if ins.Op == ir.OpParam {
+			continue
+		}
+		// execExact adds a cut run's work from its entries' latencies.
+		if lat := ins.Latency(); uint64(b.Tpl[k].Lat) != lat {
+			return fmt.Errorf("template ins %d: latency %d, instruction's %d", k, b.Tpl[k].Lat, lat)
+		}
+		k++
+	}
 	for i := range b.Tpl {
 		ti := &b.Tpl[i]
-		if err := verifyTplIns(fc, ti); err != nil {
+		if err := verifyTplIns(fc, ti, true); err != nil {
 			return fmt.Errorf("template ins %d: %w", i, err)
 		}
 		switch ti.Kind {
@@ -294,7 +317,7 @@ func verifyEdgeTemplate(fc *FuncCode, e *Edge, phis []*ir.Instr) error {
 	}
 	for i := range e.Tpl {
 		ti := &e.Tpl[i]
-		if err := verifyTplIns(fc, ti); err != nil {
+		if err := verifyTplIns(fc, ti, true); err != nil {
 			return fmt.Errorf("template ins %d: %w", i, err)
 		}
 		if ti.Res != int32(phis[i].ID) {
@@ -310,9 +333,12 @@ func verifyEdgeTemplate(fc *FuncCode, e *Edge, phis []*ir.Instr) error {
 	return nil
 }
 
-// verifyTplIns checks one template entry's registers, kind, and that its
-// inline operand fields agree with Args.
-func verifyTplIns(fc *FuncCode, ti *kremlib.TplIns) error {
+// verifyTplIns checks one template entry's registers, kind, offsets, and
+// that its inline operand fields agree with Args. Every offset is at most
+// Base, so an operand that fails its tag check — which the replay skips —
+// could never have raised the result; a plain entry's offsets all equal
+// its Lat.
+func verifyTplIns(fc *FuncCode, ti *kremlib.TplIns, plain bool) error {
 	if ti.Kind > kremlib.TplPrint {
 		return fmt.Errorf("unknown kind %d", ti.Kind)
 	}
@@ -324,15 +350,158 @@ func verifyTplIns(fc *FuncCode, ti *kremlib.TplIns) error {
 		return fmt.Errorf("operand count %d", ti.N)
 	case ti.N == 3:
 		if len(ti.Args) < 3 || ti.Args[0] != ti.A || ti.Args[1] != ti.B {
-			return fmt.Errorf("inline operands %d,%d disagree with Args %v", ti.A, ti.B, ti.Args)
+			return fmt.Errorf("inline operands %v,%v disagree with Args %v", ti.A, ti.B, ti.Args)
 		}
 	case ti.Args != nil:
 		return fmt.Errorf("%d inline operands but Args %v", ti.N, ti.Args)
 	}
-	var buf [2]int32
-	for _, a := range ti.Operands(&buf) {
-		if a < 0 || a >= fc.ConstBase {
-			return fmt.Errorf("arg %d is not a shadow register", a)
+	if ti.Lat > ti.Base || plain && ti.Base != ti.Lat {
+		return fmt.Errorf("base offset %d against latency %d", ti.Base, ti.Lat)
+	}
+	var buf [2]kremlib.TplOp
+	for _, op := range ti.Operands(&buf) {
+		if op.Reg < 0 || op.Reg >= fc.ConstBase {
+			return fmt.Errorf("arg %d is not a shadow register", op.Reg)
+		}
+		if op.Off > ti.Base || plain && op.Off != ti.Lat {
+			return fmt.Errorf("arg %d: offset %d against base offset %d and latency %d", op.Reg, op.Off, ti.Base, ti.Lat)
+		}
+	}
+	return nil
+}
+
+// verifyCompact checks every fused block's compacted template against its
+// block and plain template, and that no other code reads a register a
+// compacted template leaves unwritten:
+//   - every entry is well-formed, with each root offset at most the
+//     entry's base offset (verifyTplIns);
+//   - every root is live into the block — a phi, a param or another
+//     block's value — or written by an earlier entry, so no root is an
+//     inlined temporary's stale register;
+//   - its effect entries (loads, stores, returns, rand, print) are the
+//     plain template's, in order, and its loads and stores follow the
+//     fused range's, which the replay's address buffer relies on;
+//   - the terminator's entry is last whenever the block pushes a control
+//     entry (its vector is PushBlockCtrl's brVec);
+//   - a body value the template does not write is used only inside its
+//     block, by no phi, and folded by at least one of those uses.
+func verifyCompact(fc *FuncCode) error {
+	n := fc.F.NumValues()
+	// home[v] is 1 + the index of the block whose plain template writes v
+	// (verified against the block's body); wrote[v] is 1 + the index of
+	// the block whose compacted template writes v.
+	home := make([]int32, n)
+	wrote := make([]int32, n)
+	for bi := range fc.Blocks {
+		for _, ti := range fc.Blocks[bi].Tpl {
+			if ti.Res >= 0 {
+				home[ti.Res] = int32(bi) + 1
+			}
+		}
+	}
+	for bi := range fc.Blocks {
+		b := &fc.Blocks[bi]
+		if !b.Fused {
+			if b.Compact != nil {
+				return fmt.Errorf("block %d (%s): compacted template without a fused range", bi, b.IR.Name)
+			}
+			continue
+		}
+		if err := verifyCompactBlock(fc, b, int32(bi)+1, home, wrote); err != nil {
+			return fmt.Errorf("block %d (%s): compacted template: %w", bi, b.IR.Name, err)
+		}
+	}
+	// folded[v]: some use in v's own block folds it.
+	folded := make([]bool, n)
+	for bi := range fc.Blocks {
+		me := int32(bi) + 1
+		for _, ins := range fc.Blocks[bi].IR.Instrs {
+			for i, a := range ins.Args {
+				ai, ok := a.(*ir.Instr)
+				if !ok || ai.ID >= n {
+					continue
+				}
+				h := home[ai.ID]
+				if h == 0 || !fc.Blocks[h-1].Fused || wrote[ai.ID] == h {
+					continue
+				}
+				if h != me || ins.Op == ir.OpPhi {
+					return fmt.Errorf("block %d (%s): reads value %d, which block %d's compacted template inlines",
+						bi, fc.Blocks[bi].IR.Name, ai.ID, h-1)
+				}
+				folded[ai.ID] = folded[ai.ID] || kremlib.Folds(ins, i)
+			}
+		}
+	}
+	for bi := range fc.Blocks {
+		b := &fc.Blocks[bi]
+		if !b.Fused {
+			continue
+		}
+		for _, ti := range b.Tpl {
+			if ti.Res >= 0 && wrote[ti.Res] != home[ti.Res] && !folded[ti.Res] {
+				return fmt.Errorf("block %d (%s): compacted template drops value %d, which no use folds", bi, b.IR.Name, ti.Res)
+			}
+		}
+	}
+	return nil
+}
+
+// verifyCompactBlock checks one fused block's compacted template; me is
+// 1 + the block's index.
+func verifyCompactBlock(fc *FuncCode, b *BBlock, me int32, home, wrote []int32) error {
+	var plainFx []*kremlib.TplIns
+	for i := range b.Tpl {
+		if b.Tpl[i].Kind != kremlib.TplPlain {
+			plainFx = append(plainFx, &b.Tpl[i])
+		}
+	}
+	var stores []bool // the fused range's loads (false) and stores (true), in order
+	for pc := b.Start; pc < b.End; pc++ {
+		if op := fc.Code[pc].Op; isMemOp(op) {
+			stores = append(stores, isStoreOp(op))
+		}
+	}
+	fx, mem := 0, 0
+	for i := range b.Compact {
+		ti := &b.Compact[i]
+		if err := verifyTplIns(fc, ti, false); err != nil {
+			return fmt.Errorf("ins %d: %w", i, err)
+		}
+		var buf [2]kremlib.TplOp
+		for _, op := range ti.Operands(&buf) {
+			if home[op.Reg] == me && wrote[op.Reg] != me {
+				return fmt.Errorf("ins %d: root %d is neither live into the block nor written before", i, op.Reg)
+			}
+		}
+		if ti.Res >= 0 {
+			if home[ti.Res] != me || wrote[ti.Res] == me {
+				return fmt.Errorf("ins %d: writes %d, not a value of this block written once", i, ti.Res)
+			}
+			wrote[ti.Res] = me
+		}
+		switch ti.Kind {
+		case kremlib.TplPlain:
+			continue
+		case kremlib.TplPhiReduction:
+			return fmt.Errorf("ins %d: phi entry in a block template", i)
+		case kremlib.TplLoad, kremlib.TplLoadReduction, kremlib.TplStore:
+			if mem >= len(stores) || stores[mem] != (ti.Kind == kremlib.TplStore) {
+				return fmt.Errorf("ins %d: memory entry %d does not match the fused range's loads and stores", i, mem)
+			}
+			mem++
+		}
+		if fx >= len(plainFx) || plainFx[fx].Kind != ti.Kind || plainFx[fx].Res != ti.Res {
+			return fmt.Errorf("ins %d: effect entry %d (kind %d, result %d) is not the plain template's", i, fx, ti.Kind, ti.Res)
+		}
+		fx++
+	}
+	if fx != len(plainFx) || mem != len(stores) {
+		return fmt.Errorf("%d effect and %d memory entries, want %d and %d", fx, mem, len(plainFx), len(stores))
+	}
+	if b.HasPush {
+		if n := len(b.Compact); n == 0 || b.Compact[n-1].Kind != kremlib.TplPlain || b.Compact[n-1].Res != -1 {
+			return fmt.Errorf("the branch's entry is not last")
 		}
 	}
 	return nil

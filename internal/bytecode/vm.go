@@ -412,8 +412,9 @@ func (m *machine) putRegs(r []val) {
 // fused range on execFast when it has one, its precomputed step count fits
 // the budget and it crosses no liveness-poll boundary; anything else runs
 // the block's exact range on execExact. In HCPA mode a fused run replays
-// the edge's phis and its body in one StepBlock; an exact run replays the
-// edge's phis alone first.
+// the edge's phis and its compacted body (the plain one when the runtime
+// traces dependences) in one StepBlock; an exact run replays the edge's
+// phis alone first.
 func (m *machine) call(fc *FuncCode, args []val, argVecs []shadow.Vec, callerFS *kremlib.FrameState) (val, shadow.Vec, error) {
 	regs := m.getRegs(fc)
 	watermark := m.heapTop
@@ -490,14 +491,18 @@ func (m *machine) call(fc *FuncCode, args []val, argVecs []shadow.Vec, callerFS 
 			}
 			edge, rv, returned, err = m.execFast(fc, regs, b, m.cfg.Mode == interp.Plain)
 			if err == nil && fs != nil {
-				brVec := m.rt.StepBlock(fs, phiTpl, b.Tpl, m.addrs)
+				body := b.Compact
+				if m.cfg.Opts.TraceDeps {
+					body = b.Tpl
+				}
+				brVec := m.rt.StepBlock(fs, phiTpl, body, m.addrs, b.LatSum)
 				if b.HasPush {
 					m.rt.PushBlockCtrl(fs, b.IR, b.PopAt, brVec)
 				}
 			}
 		} else {
 			if fs != nil && len(phiTpl) > 0 {
-				m.rt.StepBlock(fs, phiTpl, nil, nil)
+				m.rt.StepBlock(fs, phiTpl, nil, nil, 0)
 			}
 			edge, rv, returned, err = m.execExact(fc, regs, b, fs)
 		}
@@ -1318,14 +1323,20 @@ func (m *machine) execExact(fc *FuncCode, regs []val, b *BBlock, fs *kremlib.Fra
 	}
 }
 
-// replayExact replays an exact run's pending template entries
+// replayExact replays an exact run's pending plain template entries
 // tpl[*seg:to] and the addresses buffered for them (HCPA only; a no-op
-// when fs is nil or nothing is pending).
+// when fs is nil or nothing is pending). A plain entry's Lat is its
+// instruction's latency, so the run's work is their sum.
 func (m *machine) replayExact(fs *kremlib.FrameState, tpl kremlib.BlockTemplate, seg *int32, to int32) shadow.Vec {
 	if fs == nil || to <= *seg {
 		return nil
 	}
-	out := m.rt.StepBlock(fs, nil, tpl[*seg:to], m.addrs)
+	run := tpl[*seg:to]
+	var work uint64
+	for i := range run {
+		work += uint64(run[i].Lat)
+	}
+	out := m.rt.StepBlock(fs, nil, run, m.addrs, work)
 	*seg = to
 	m.addrs = m.addrs[:0]
 	return out

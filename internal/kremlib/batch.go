@@ -8,7 +8,9 @@
 // register indices. Calls inside a block run in their own frame and leave
 // the region stack as they found it, so the VM replays a call-containing
 // (exact) block as runs of its template cut at each call. The result is
-// bit-identical to issuing the Steps one by one.
+// bit-identical to issuing the Steps one by one, except that a compacted
+// template (see Compactor) leaves the registers of the temporaries it
+// inlined unwritten — no replay reads them.
 //
 // The address-buffer contract: the VM records the effective address of
 // every load and store the replayed instructions executed, in execution
@@ -60,12 +62,35 @@ const (
 	TplPrint
 )
 
-// TplIns is one instruction of a template: fold the availability vectors
-// of its operands (shadow register IDs; constants and broken dependencies
-// are dropped at compile time) — and, for loads, the shadow slot of the
-// loaded address — over the control baseline, add Lat, raise the per-level
-// critical path, and store the result at register Res (-1 for instructions
-// that produce no register value: stores, returns, prints and branches).
+// TplOp is one folded operand of a template entry: shadow register Reg,
+// read Off time units before the entry's result. An operand vector whose
+// tag at a level is not the current region instance's reads as absent.
+type TplOp struct {
+	Reg int32
+	Off uint32
+}
+
+// TplIns is one entry of a template: at every tracked level its result is
+//
+//	max(base + Base, op.Time + op.Off for each operand op, x + Lat)
+//
+// where base is the control baseline, x the loaded shadow-memory slot of a
+// load or the runtime's RNG/IO vector of a rand/print, and operands whose
+// tag does not match read as absent. The entry raises the per-level
+// critical path to its result and stores it at register Res (-1 for
+// entries that produce no register value: stores, returns, prints and
+// branches).
+//
+// A plain entry — one IR instruction, as BlockTemplateOf builds — has
+// every offset equal to Lat, the instruction's latency, so its result is
+// Step's max(base, operands, x) + Lat. A compacted entry (Compactor) also
+// folds the temporaries inlined into it: their roots carry the summed
+// latency of the path to this entry, and Base is the longest such path
+// from the baseline. Every offset is at most Base, so an absent operand —
+// which Step would read as zero — never beats the baseline term.
+//
+// Offsets are bounded by their block's summed latency, which a compacted
+// template keeps within uint32 (Compactor.Template).
 //
 // Operands are stored inline so the replay loop chases no slice pointer:
 // N is the operand count saturated at 3, A and B hold the first two
@@ -75,14 +100,15 @@ type TplIns struct {
 	Res  int32
 	Kind TplKind
 	N    uint8
-	A, B int32
-	Lat  uint64
-	Args []int32
+	A, B TplOp
+	Base uint32
+	Lat  uint32
+	Args []TplOp
 }
 
-// Operands returns the entry's operand IDs; buf backs the result when the
+// Operands returns the entry's operands; buf backs the result when the
 // operands are stored inline.
-func (ti *TplIns) Operands(buf *[2]int32) []int32 {
+func (ti *TplIns) Operands(buf *[2]TplOp) []TplOp {
 	if ti.N > 2 {
 		return ti.Args
 	}
@@ -95,8 +121,8 @@ func (ti *TplIns) Operands(buf *[2]int32) []int32 {
 // its target.
 type BlockTemplate []TplIns
 
-func newTplIns(res int32, kind TplKind, lat uint64, ops []int32) TplIns {
-	ti := TplIns{Res: res, Kind: kind, Lat: lat}
+func newTplIns(res int32, kind TplKind, base, lat uint32, ops []TplOp) TplIns {
+	ti := TplIns{Res: res, Kind: kind, Base: base, Lat: lat}
 	switch len(ops) {
 	case 0:
 	case 1:
@@ -105,59 +131,69 @@ func newTplIns(res int32, kind TplKind, lat uint64, ops []int32) TplIns {
 		ti.N, ti.A, ti.B = 2, ops[0], ops[1]
 	default:
 		ti.N, ti.A, ti.B = 3, ops[0], ops[1]
-		ti.Args = append([]int32(nil), ops...)
+		ti.Args = append([]TplOp(nil), ops...)
 	}
 	return ti
 }
 
-// BlockTemplateOf builds the template of a block body — the instructions
-// after its phis — with Step's rules: one entry per stepped instruction
-// (params are never stepped), operands resolved to register IDs with
-// constants and the broken (induction/reduction) operand dropped. A load
-// always folds its address operand. Loads, stores, returns and the rand
-// and print builtins carry their side effect in Kind.
+// tplKind returns the template kind and result register of a body
+// instruction.
+func tplKind(ins *ir.Instr) (TplKind, int32) {
+	kind := TplPlain
+	res := int32(-1)
+	if ins.HasResult() {
+		res = int32(ins.ID)
+	}
+	switch ins.Op {
+	case ir.OpLoad:
+		kind = TplLoad
+		if ins.Reduction {
+			kind = TplLoadReduction
+		}
+	case ir.OpStore:
+		kind, res = TplStore, -1
+	case ir.OpRet:
+		kind, res = TplRet, -1
+	case ir.OpBuiltin:
+		switch ins.Builtin {
+		case "rand", "frand", "srand":
+			kind = TplRand
+		case "printval", "printstr", "printnl":
+			kind, res = TplPrint, -1
+		}
+	}
+	return kind, res
+}
+
+// Folds reports whether Step folds operand i of a body instruction: a
+// load folds its address, anything else every operand but its broken
+// (induction/reduction) one.
+func Folds(ins *ir.Instr, i int) bool {
+	return ins.Op == ir.OpLoad || i != ins.BreakArg
+}
+
+// BlockTemplateOf builds the plain template of a block body — the
+// instructions after its phis — with Step's rules: one entry per stepped
+// instruction (params are never stepped), operands resolved to register
+// IDs with constants and the broken (induction/reduction) operand dropped.
+// A load always folds its address operand. Loads, stores, returns and the
+// rand and print builtins carry their side effect in Kind.
 func BlockTemplateOf(body []*ir.Instr) BlockTemplate {
 	tpl := make(BlockTemplate, 0, len(body))
-	var ops []int32
+	var ops []TplOp
 	for _, ins := range body {
 		if ins.Op == ir.OpParam {
 			continue
 		}
-		kind := TplPlain
-		res := int32(-1)
-		if ins.HasResult() {
-			res = int32(ins.ID)
-		}
-		brk := ins.BreakArg
-		switch ins.Op {
-		case ir.OpLoad:
-			brk = -1
-			kind = TplLoad
-			if ins.Reduction {
-				kind = TplLoadReduction
-			}
-		case ir.OpStore:
-			kind, res = TplStore, -1
-		case ir.OpRet:
-			kind, res = TplRet, -1
-		case ir.OpBuiltin:
-			switch ins.Builtin {
-			case "rand", "frand", "srand":
-				kind = TplRand
-			case "printval", "printstr", "printnl":
-				kind, res = TplPrint, -1
-			}
-		}
+		kind, res := tplKind(ins)
+		lat := uint32(ins.Latency())
 		ops = ops[:0]
 		for i, a := range ins.Args {
-			if i == brk {
-				continue
-			}
-			if ai, ok := a.(*ir.Instr); ok {
-				ops = append(ops, int32(ai.ID))
+			if ai, ok := a.(*ir.Instr); ok && Folds(ins, i) {
+				ops = append(ops, TplOp{Reg: int32(ai.ID), Off: lat})
 			}
 		}
-		tpl = append(tpl, newTplIns(res, kind, ins.Latency(), ops))
+		tpl = append(tpl, newTplIns(res, kind, lat, lat, ops))
 	}
 	return tpl
 }
@@ -169,38 +205,46 @@ func BlockTemplateOf(body []*ir.Instr) BlockTemplate {
 // reduction phi's entry is TplPhiReduction.
 func EdgeTemplateOf(phis []*ir.Instr, predIdx int) BlockTemplate {
 	tpl := make(BlockTemplate, 0, len(phis))
-	var ops []int32
+	var ops []TplOp
 	for _, phi := range phis {
+		lat := uint32(phi.Latency())
 		ops = ops[:0]
 		if !phi.Induction && predIdx >= 0 && predIdx < len(phi.Args) {
 			if ai, ok := phi.Args[predIdx].(*ir.Instr); ok {
-				ops = append(ops, int32(ai.ID))
+				ops = append(ops, TplOp{Reg: int32(ai.ID), Off: lat})
 			}
 		}
 		kind := TplPlain
 		if phi.Reduction {
 			kind = TplPhiReduction
 		}
-		tpl = append(tpl, newTplIns(int32(phi.ID), kind, phi.Latency(), ops))
+		tpl = append(tpl, newTplIns(int32(phi.ID), kind, lat, lat, ops))
 	}
 	return tpl
 }
 
 // StepBlock replays edge — the phis of the CFG edge just taken — and then
-// body — the block's instructions, or a run of them — in a single call.
-// Either may be empty. addrs holds the effective addresses of body's loads
-// and stores in execution order (see the package comment). It is
-// observably identical to calling Step for each phi and then each body
-// instruction in order: the control baseline is resolved once (legal
-// because nothing between block entry and the terminator can change the
-// region stack, tags, or control stack), and each instruction makes one
+// body — the block's instructions, or a run of them, as a plain or a
+// compacted template — in a single call, and adds work, the summed latency
+// of the instructions they stand for, to the run's total. Either template
+// may be empty. addrs holds the effective addresses of body's loads and
+// stores in execution order (see the package comment). It is observably
+// identical to calling Step for each phi and then each body instruction in
+// order, except that a compacted body leaves the registers of the
+// temporaries it inlined unwritten: the control baseline is resolved once
+// (legal because nothing between block entry and the terminator can change
+// the region stack, tags, or control stack), and each entry makes one
 // fused pass over the tracked levels that folds the baseline, its operands
-// and (for loads) its memory slot with the tag-mismatch-is-zero rule, adds
-// its latency, writes the result straight into its destination, and raises
-// the region stack's critical path in place. The returned vector is the
-// last instruction's (the terminator's, for Br-ended blocks — see
-// PushBlockCtrl); it is valid until the next Step/StepBlock.
-func (rt *Runtime) StepBlock(fs *FrameState, edge, body BlockTemplate, addrs []uint64) shadow.Vec {
+// and (for loads) its memory slot with the tag-mismatch-is-absent rule,
+// writes the result straight into its destination, and raises the region
+// stack's critical path in place. The returned vector is the last entry's
+// (the terminator's, for Br-ended blocks — see PushBlockCtrl), nil when
+// both templates are empty; it is valid until the next Step/StepBlock.
+func (rt *Runtime) StepBlock(fs *FrameState, edge, body BlockTemplate, addrs []uint64, work uint64) shadow.Vec {
+	rt.totalWork += work
+	if len(edge) == 0 && len(body) == 0 {
+		return nil // a block whose compacted template kept nothing
+	}
 	d := rt.level()
 	lo := rt.lowLevel()
 	base := rt.blockBaseline(fs, d, lo)
@@ -221,18 +265,15 @@ func (rt *Runtime) replay(fs *FrameState, tpl BlockTemplate, base shadow.Vec, ad
 	regs := fs.Regs
 	tracing := rt.carried != nil
 	var out shadow.Vec
-	var work uint64
 	next := 0
 	for i := range tpl {
 		ti := &tpl[i]
-		lat := ti.Lat
-		work += lat
 		// Operands first (the operand-before-Sized rule).
 		var a, b shadow.Vec
 		if ti.N > 0 {
-			a = regs.Get(int(ti.A))
+			a = regs.Get(int(ti.A.Reg))
 			if ti.N > 1 {
-				b = regs.Get(int(ti.B))
+				b = regs.Get(int(ti.B.Reg))
 			}
 		}
 		switch ti.Kind {
@@ -243,13 +284,13 @@ func (rt *Runtime) replay(fs *FrameState, tpl BlockTemplate, base shadow.Vec, ad
 			out = rt.dest(regs, ti.Res, d, lo)
 			switch ti.N {
 			case 0:
-				step0(out, base, tags, peak, lat, lo)
+				step0(out, base, tags, peak, uint64(ti.Base), lo)
 			case 1:
-				step1(out, base, tags, peak, a, lat, lo)
+				step1(out, base, tags, peak, uint64(ti.Base), a, uint64(ti.A.Off), lo)
 			case 2:
-				step2(out, base, tags, peak, a, b, lat, lo)
+				step2(out, base, tags, peak, uint64(ti.Base), a, uint64(ti.A.Off), b, uint64(ti.B.Off), lo)
 			default:
-				stepN(out, base, tags, peak, regs, ti.Args, nil, lat, lo)
+				stepWide(out, base, tags, peak, regs, ti, shadow.Slot{}, lo)
 			}
 		case TplLoad, TplLoadReduction:
 			s := rt.mem.Load(addrs[next])
@@ -258,7 +299,11 @@ func (rt *Runtime) replay(fs *FrameState, tpl BlockTemplate, base shadow.Vec, ad
 				rt.traceTpl(ti, regs, a, b, s, nil)
 			}
 			out = rt.dest(regs, ti.Res, d, lo)
-			stepLoad(out, base, tags, peak, a, s, lat, lo)
+			if ti.N <= 2 {
+				stepLoad(out, base, tags, peak, ti, a, b, s, lo)
+			} else {
+				stepWide(out, base, tags, peak, regs, ti, s, lo)
+			}
 		default:
 			out = rt.replayEffect(fs, ti, a, b, base, addrs, next, d, lo)
 			if ti.Kind == TplStore {
@@ -266,7 +311,6 @@ func (rt *Runtime) replay(fs *FrameState, tpl BlockTemplate, base shadow.Vec, ad
 			}
 		}
 	}
-	rt.totalWork += work
 	return out
 }
 
@@ -287,7 +331,7 @@ func (rt *Runtime) dest(regs *shadow.RegisterTable, res int32, d, lo int) shadow
 
 // replayEffect runs one entry with a side effect beyond its register:
 // stores, returns, and the rand and print builtins (whose RNG/IO chain is
-// one more operand).
+// one more operand, at offset Lat).
 func (rt *Runtime) replayEffect(fs *FrameState, ti *TplIns, a, b, base shadow.Vec, addrs []uint64, next, d, lo int) shadow.Vec {
 	tags, peak, regs := rt.tags[:d], rt.maxTime[:d], fs.Regs
 	var x shadow.Vec
@@ -303,18 +347,19 @@ func (rt *Runtime) replayEffect(fs *FrameState, ti *TplIns, a, b, base shadow.Ve
 	out := rt.dest(regs, ti.Res, d, lo)
 	switch {
 	case ti.N == 0 && x == nil:
-		step0(out, base, tags, peak, ti.Lat, lo)
+		step0(out, base, tags, peak, uint64(ti.Base), lo)
 	case ti.N == 0:
-		step1(out, base, tags, peak, x, ti.Lat, lo)
+		step1(out, base, tags, peak, uint64(ti.Base), x, uint64(ti.Lat), lo)
 	case ti.N == 1 && x == nil:
-		step1(out, base, tags, peak, a, ti.Lat, lo)
+		step1(out, base, tags, peak, uint64(ti.Base), a, uint64(ti.A.Off), lo)
 	case ti.N == 1:
-		step2(out, base, tags, peak, a, x, ti.Lat, lo)
+		step2(out, base, tags, peak, uint64(ti.Base), a, uint64(ti.A.Off), x, uint64(ti.Lat), lo)
 	case ti.N == 2 && x == nil:
-		step2(out, base, tags, peak, a, b, ti.Lat, lo)
+		step2(out, base, tags, peak, uint64(ti.Base), a, uint64(ti.A.Off), b, uint64(ti.B.Off), lo)
+	case x == nil:
+		stepWide(out, base, tags, peak, regs, ti, shadow.Slot{}, lo)
 	default:
-		var buf [2]int32
-		stepN(out, base, tags, peak, regs, ti.Operands(&buf), x, ti.Lat, lo)
+		stepN(out, base, tags, peak, regs, ti, x, shadow.Slot{}, lo)
 	}
 	switch ti.Kind {
 	case TplStore:
@@ -347,8 +392,8 @@ func (rt *Runtime) traceTpl(ti *TplIns, regs *shadow.RegisterTable, a, b shadow.
 		rt.noteVec(a)
 		rt.noteVec(b)
 	default:
-		for _, r := range ti.Args {
-			rt.noteVec(regs.Get(int(r)))
+		for _, op := range ti.Args {
+			rt.noteVec(regs.Get(int(op.Reg)))
 		}
 	}
 	rt.noteVec(x)
@@ -391,20 +436,21 @@ func (rt *Runtime) blockBaseline(fs *FrameState, d, lo int) shadow.Vec {
 	return base
 }
 
-// The step* kernels are the replay's fused per-instruction passes over the
-// tracked levels [lo, len(out)): fold the baseline and the operands (an
-// operand shorter than the window, or tagged by another region instance,
-// reads as zero), add lat, write the entry, and raise the region stack's
-// critical path (peak, the runtime's dense maxTime). out, base, tags and
-// peak all have the window's length. Each level reads its operands before
-// writing out, so an operand may share out's storage (a self-naming phi).
+// The step* kernels are the replay's fused per-entry passes over the
+// tracked levels [lo, len(out)): fold the baseline at offset bo and each
+// operand at its own offset (an operand shorter than the window, or tagged
+// by another region instance, is absent), write the entry, and raise the
+// region stack's critical path (peak, the runtime's dense maxTime). out,
+// base, tags and peak all have the window's length. Each level reads its
+// operands before writing out, so an operand may share out's storage (a
+// self-naming phi).
 
-func step0(out, base shadow.Vec, tags, peak []uint64, lat uint64, lo int) {
+func step0(out, base shadow.Vec, tags, peak []uint64, bo uint64, lo int) {
 	base = base[:len(out)]
 	tags = tags[:len(out)]
 	peak = peak[:len(out)]
 	for l := lo; l < len(out); l++ {
-		t := base[l].Time + lat
+		t := base[l].Time + bo
 		out[l] = shadow.Entry{Time: t, Tag: tags[l]}
 		if t > peak[l] {
 			peak[l] = t
@@ -412,17 +458,16 @@ func step0(out, base shadow.Vec, tags, peak []uint64, lat uint64, lo int) {
 	}
 }
 
-func step1(out, base shadow.Vec, tags, peak []uint64, a shadow.Vec, lat uint64, lo int) {
+func step1(out, base shadow.Vec, tags, peak []uint64, bo uint64, a shadow.Vec, ao uint64, lo int) {
 	base = base[:len(out)]
 	tags = tags[:len(out)]
 	peak = peak[:len(out)]
 	for l := lo; l < len(out); l++ {
-		t := base[l].Time
+		t := base[l].Time + bo
 		tag := tags[l]
-		if l < len(a) && a[l].Tag == tag && a[l].Time > t {
-			t = a[l].Time
+		if l < len(a) && a[l].Tag == tag && a[l].Time+ao > t {
+			t = a[l].Time + ao
 		}
-		t += lat
 		out[l] = shadow.Entry{Time: t, Tag: tag}
 		if t > peak[l] {
 			peak[l] = t
@@ -430,20 +475,19 @@ func step1(out, base shadow.Vec, tags, peak []uint64, a shadow.Vec, lat uint64, 
 	}
 }
 
-func step2(out, base shadow.Vec, tags, peak []uint64, a, b shadow.Vec, lat uint64, lo int) {
+func step2(out, base shadow.Vec, tags, peak []uint64, bo uint64, a shadow.Vec, ao uint64, b shadow.Vec, bOff uint64, lo int) {
 	base = base[:len(out)]
 	tags = tags[:len(out)]
 	peak = peak[:len(out)]
 	for l := lo; l < len(out); l++ {
-		t := base[l].Time
+		t := base[l].Time + bo
 		tag := tags[l]
-		if l < len(a) && a[l].Tag == tag && a[l].Time > t {
-			t = a[l].Time
+		if l < len(a) && a[l].Tag == tag && a[l].Time+ao > t {
+			t = a[l].Time + ao
 		}
-		if l < len(b) && b[l].Tag == tag && b[l].Time > t {
-			t = b[l].Time
+		if l < len(b) && b[l].Tag == tag && b[l].Time+bOff > t {
+			t = b[l].Time + bOff
 		}
-		t += lat
 		out[l] = shadow.Entry{Time: t, Tag: tag}
 		if t > peak[l] {
 			peak[l] = t
@@ -451,21 +495,26 @@ func step2(out, base shadow.Vec, tags, peak []uint64, a, b shadow.Vec, lat uint6
 	}
 }
 
-func stepLoad(out, base shadow.Vec, tags, peak []uint64, a shadow.Vec, s shadow.Slot, lat uint64, lo int) {
+// stepLoad is the kernel of a load with at most two operands (a and b,
+// either possibly nil) and its memory slot s at offset Lat.
+func stepLoad(out, base shadow.Vec, tags, peak []uint64, ti *TplIns, a, b shadow.Vec, s shadow.Slot, lo int) {
 	base = base[:len(out)]
 	tags = tags[:len(out)]
 	peak = peak[:len(out)]
+	bo, ao, bOff, so := uint64(ti.Base), uint64(ti.A.Off), uint64(ti.B.Off), uint64(ti.Lat)
 	st, sg := s.Times, s.Tags[:len(s.Times)]
 	for l := lo; l < len(out); l++ {
-		t := base[l].Time
+		t := base[l].Time + bo
 		tag := tags[l]
-		if l < len(a) && a[l].Tag == tag && a[l].Time > t {
-			t = a[l].Time
+		if l < len(a) && a[l].Tag == tag && a[l].Time+ao > t {
+			t = a[l].Time + ao
 		}
-		if l < len(st) && sg[l] == tag && st[l] > t {
-			t = st[l]
+		if l < len(b) && b[l].Tag == tag && b[l].Time+bOff > t {
+			t = b[l].Time + bOff
 		}
-		t += lat
+		if l < len(st) && sg[l] == tag && st[l]+so > t {
+			t = st[l] + so
+		}
 		out[l] = shadow.Entry{Time: t, Tag: tag}
 		if t > peak[l] {
 			peak[l] = t
@@ -473,20 +522,76 @@ func stepLoad(out, base shadow.Vec, tags, peak []uint64, a shadow.Vec, s shadow.
 	}
 }
 
-// stepN is the generic kernel for three or more operands (args, plus the
-// RNG/IO vector x when set). It copies the baseline into out first, so no
-// operand may share out's storage — true for every non-phi instruction.
-func stepN(out, base shadow.Vec, tags, peak []uint64, regs *shadow.RegisterTable, args []int32, x shadow.Vec, lat uint64, lo int) {
-	copy(out[lo:], base[lo:len(out)])
-	for _, r := range args {
-		maxInto(out, tags, regs.Get(int(r)), lo, len(out))
+// stepWide runs an entry with three or more operands (and the memory slot
+// s of a load): the fused stepLoad4 for up to four, stepN beyond.
+func stepWide(out, base shadow.Vec, tags, peak []uint64, regs *shadow.RegisterTable, ti *TplIns, s shadow.Slot, lo int) {
+	if len(ti.Args) > 4 {
+		stepN(out, base, tags, peak, regs, ti, nil, s, lo)
+		return
 	}
-	maxInto(out, tags, x, lo, len(out))
+	var d shadow.Vec
+	if len(ti.Args) == 4 {
+		d = regs.Get(int(ti.Args[3].Reg))
+	}
+	stepLoad4(out, base, tags, peak, ti, regs.Get(int(ti.A.Reg)), regs.Get(int(ti.B.Reg)),
+		regs.Get(int(ti.Args[2].Reg)), d, s, lo)
+}
+
+// stepLoad4 is stepLoad for three or four operands (d may be nil) and an
+// optional memory slot s. No operand may share out's storage, as in stepN.
+func stepLoad4(out, base shadow.Vec, tags, peak []uint64, ti *TplIns, a, b, c, d shadow.Vec, s shadow.Slot, lo int) {
+	base = base[:len(out)]
+	tags = tags[:len(out)]
+	peak = peak[:len(out)]
+	bo, so := uint64(ti.Base), uint64(ti.Lat)
+	ao, bOff, co := uint64(ti.Args[0].Off), uint64(ti.Args[1].Off), uint64(ti.Args[2].Off)
+	var do uint64
+	if d != nil {
+		do = uint64(ti.Args[3].Off)
+	}
+	st, sg := s.Times, s.Tags[:len(s.Times)]
+	for l := lo; l < len(out); l++ {
+		t := base[l].Time + bo
+		tag := tags[l]
+		if l < len(a) && a[l].Tag == tag && a[l].Time+ao > t {
+			t = a[l].Time + ao
+		}
+		if l < len(b) && b[l].Tag == tag && b[l].Time+bOff > t {
+			t = b[l].Time + bOff
+		}
+		if l < len(c) && c[l].Tag == tag && c[l].Time+co > t {
+			t = c[l].Time + co
+		}
+		if l < len(d) && d[l].Tag == tag && d[l].Time+do > t {
+			t = d[l].Time + do
+		}
+		if l < len(st) && sg[l] == tag && st[l]+so > t {
+			t = st[l] + so
+		}
+		out[l] = shadow.Entry{Time: t, Tag: tag}
+		if t > peak[l] {
+			peak[l] = t
+		}
+	}
+}
+
+// stepN is the generic kernel: any number of operands, plus the RNG/IO
+// vector x or the memory slot s (at offset Lat) when set. It writes the
+// baseline into out first, so no operand may share out's storage — true
+// for every non-phi entry.
+func stepN(out, base shadow.Vec, tags, peak []uint64, regs *shadow.RegisterTable, ti *TplIns, x shadow.Vec, s shadow.Slot, lo int) {
+	for l := lo; l < len(out); l++ {
+		out[l] = shadow.Entry{Time: base[l].Time + uint64(ti.Base), Tag: tags[l]}
+	}
+	var buf [2]TplOp
+	for _, op := range ti.Operands(&buf) {
+		maxInto(out, tags, regs.Get(int(op.Reg)), uint64(op.Off), lo, len(out))
+	}
+	maxInto(out, tags, x, uint64(ti.Lat), lo, len(out))
+	maxIntoSlot(out, tags, s, uint64(ti.Lat), lo, len(out))
 	peak = peak[:len(out)]
 	for l := lo; l < len(out); l++ {
-		t := out[l].Time + lat
-		out[l].Time = t
-		if t > peak[l] {
+		if t := out[l].Time; t > peak[l] {
 			peak[l] = t
 		}
 	}

@@ -42,6 +42,9 @@ type blockCase struct {
 	// level shallower, so the third execution grows every register it
 	// writes back in place over stale entries.
 	shrink bool
+	// liveOut are the body values some other block reads; compaction
+	// keeps their entries.
+	liveOut []*ir.Instr
 }
 
 // twinState is everything observable after a block has run.
@@ -59,16 +62,45 @@ type twinState struct {
 	dict    []profile.Entry
 }
 
+// twinMode selects how runTwin executes a block.
+type twinMode int
+
+const (
+	// twinStep issues one Step per instruction.
+	twinStep twinMode = iota
+	// twinPlain replays the plain templates, the edge fused with the body,
+	// except in the second execution, which replays the edge alone and
+	// then the body in two runs, as the VM does for exact blocks.
+	twinPlain
+	// twinCompact is twinPlain with the compacted body template (and the
+	// block's summed latency as its work) in the fused executions, as the
+	// VM's fused path replays it; the second execution still replays the
+	// plain halves.
+	twinCompact
+)
+
+// compactOf compacts c's body the way the bytecode compiler does, in a
+// function holding the block (phis and body) and a second block that
+// reads c.liveOut.
+func compactOf(c blockCase) BlockTemplate {
+	f := synthFunc()
+	blk, use := f.NewBlock("blk"), f.NewBlock("use")
+	blk.Instrs = append(append([]*ir.Instr(nil), c.phis...), c.body...)
+	sink := blockIns(255, ir.OpRet)
+	for _, v := range c.liveOut {
+		sink.Args = append(sink.Args, v)
+	}
+	use.Instrs = []*ir.Instr{sink}
+	return NewCompactor(f).Template(c.body)
+}
+
 // runTwin executes c's edge and block three times inside a func → loop →
 // body region nest — iterating the body between executions so loads
 // observe earlier iterations' stores and phis earlier iterations' values —
-// either as per-instruction Steps or as template replays, and snapshots
-// the runtime. A Br-ended block pushes its control entry (PushCtrl after
-// Steps, PushBlockCtrl after a replay), popped again on re-entry as the VM
-// does. The batched run replays the edge fused with the body, except in
-// the second execution, which replays the edge alone and then the body in
-// two runs, as the VM does for exact blocks.
-func runTwin(t *testing.T, c blockCase, batched bool) twinState {
+// as mode says, and snapshots the runtime. A Br-ended block pushes its
+// control entry (PushCtrl after Steps, PushBlockCtrl after a replay),
+// popped again on re-entry as the VM does.
+func runTwin(t *testing.T, c blockCase, mode twinMode) twinState {
 	t.Helper()
 	prof := profile.New()
 	rt := NewRuntime(prof, c.opts)
@@ -92,6 +124,13 @@ func runTwin(t *testing.T, c blockCase, batched bool) twinState {
 
 	edge := EdgeTemplateOf(c.phis, c.predIdx)
 	tpl := BlockTemplateOf(c.body)
+	fused, work := tpl, plainWork(tpl)
+	if mode == twinCompact {
+		fused, work = compactOf(c), 0
+		for _, ins := range c.body {
+			work += ins.Latency()
+		}
+	}
 	var last shadow.Vec
 	for iter := 0; iter < 3; iter++ {
 		switch {
@@ -104,7 +143,7 @@ func runTwin(t *testing.T, c blockCase, batched bool) twinState {
 		}
 		rt.PopSameBranch(fs, self)
 		switch {
-		case !batched:
+		case mode == twinStep:
 			for _, phi := range c.phis {
 				last = rt.Step(fs, phi, 0, c.predIdx)
 			}
@@ -122,7 +161,7 @@ func runTwin(t *testing.T, c blockCase, batched bool) twinState {
 			}
 		case iter == 1:
 			if len(edge) > 0 {
-				last = rt.StepBlock(fs, edge, nil, nil)
+				last = rt.StepBlock(fs, edge, nil, nil, 0)
 			}
 			half := len(tpl) / 2
 			mem := 0
@@ -132,16 +171,16 @@ func runTwin(t *testing.T, c blockCase, batched bool) twinState {
 				}
 			}
 			if half > 0 {
-				last = rt.StepBlock(fs, nil, tpl[:half], c.addrs[:mem])
+				last = rt.StepBlock(fs, nil, tpl[:half], c.addrs[:mem], plainWork(tpl[:half]))
 			}
 			if len(tpl) > half {
-				last = rt.StepBlock(fs, nil, tpl[half:], c.addrs[mem:])
+				last = rt.StepBlock(fs, nil, tpl[half:], c.addrs[mem:], plainWork(tpl[half:]))
 			}
 			if pushes {
 				rt.PushBlockCtrl(fs, self, join, last)
 			}
 		default:
-			last = rt.StepBlock(fs, edge, tpl, c.addrs)
+			last = rt.StepBlock(fs, edge, fused, c.addrs, work)
 			if pushes {
 				rt.PushBlockCtrl(fs, self, join, last)
 			}
@@ -170,6 +209,35 @@ func runTwin(t *testing.T, c blockCase, batched bool) twinState {
 	rt.Unwind(0)
 	st.dict = prof.Dict.Entries
 	return st
+}
+
+// masked returns st without what a compacted replay leaves undefined: the
+// registers of the temporaries it inlined, and the returned vector of a
+// block that ends in a jump (only a branch's is read).
+func masked(st twinState, c blockCase, compact BlockTemplate) twinState {
+	kept := map[int]bool{}
+	for _, ti := range compact {
+		kept[int(ti.Res)] = true
+	}
+	st.regs = append([]shadow.Vec(nil), st.regs...)
+	for _, ins := range c.body {
+		if !kept[ins.ID] {
+			st.regs[ins.ID] = nil
+		}
+	}
+	if n := len(c.body); n > 0 && c.body[n-1].Op == ir.OpJump {
+		st.last = nil
+	}
+	return st
+}
+
+// plainWork is the work of a plain template run: its entries' latencies.
+func plainWork(tpl BlockTemplate) uint64 {
+	var w uint64
+	for _, ti := range tpl {
+		w += uint64(ti.Lat)
+	}
+	return w
 }
 
 func TestStepBlockMatchesStep(t *testing.T) {
@@ -277,6 +345,56 @@ func TestStepBlockMatchesStep(t *testing.T) {
 			blockIns(77, ir.OpBr, v)}
 	}
 
+	// Cases for compaction. Six loads feed a tree of adds and multiplies
+	// whose root would fold eight loads: past maxFanIn, so the widest
+	// subtree is materialized. The loads' results are the roots.
+	wide := func() []*ir.Instr {
+		var lds []*ir.Instr
+		for k := 0; k < 8; k++ {
+			lds = append(lds, blockIns(80+k, ir.OpLoad, addr))
+		}
+		s1 := blockIns(90, ir.OpBin, lds[0], lds[1])
+		s1.Bin = ir.BinMul
+		s2 := blockIns(91, ir.OpBin, lds[2], lds[3])
+		s3 := blockIns(92, ir.OpBin, lds[4], lds[5])
+		s3.Bin = ir.BinDiv
+		s4 := blockIns(93, ir.OpBin, lds[6], lds[7])
+		t1 := blockIns(94, ir.OpBin, s1, s2)
+		t2 := blockIns(95, ir.OpBin, s3, s4)
+		top := blockIns(96, ir.OpBin, t1, t2)
+		return append(lds, s1, s2, s3, s4, t1, t2, top, blockIns(97, ir.OpBr, top))
+	}
+	// v = outer*outer feeds both a and b = v + a: one temporary inlined
+	// twice, its root reached on two paths of different length.
+	twice := func() []*ir.Instr {
+		v := blockIns(100, ir.OpBin, outer, outer)
+		v.Bin = ir.BinMul
+		ld := blockIns(101, ir.OpLoad, addr)
+		a := blockIns(102, ir.OpBin, v, ld)
+		b := blockIns(103, ir.OpBin, v, a)
+		return []*ir.Instr{v, ld, a, b, blockIns(104, ir.OpRet, b)}
+	}
+	// x is read only as upd's broken operand: no use folds it, so it stays
+	// a dead leaf whose only effect is its critical-path write; u has no
+	// use at all.
+	breakOnly := func() []*ir.Instr {
+		x := blockIns(110, ir.OpBin, outer, &ir.ConstInt{V: 1})
+		x.Bin = ir.BinMul
+		y := blockIns(111, ir.OpBin, outer, &ir.ConstInt{V: 2})
+		upd := blockIns(112, ir.OpBin, x, y)
+		upd.BreakArg = 0
+		u := blockIns(113, ir.OpBin, outer, outer)
+		return []*ir.Instr{x, y, upd, u, blockIns(114, ir.OpBr, upd)}
+	}
+	// A jump-ended block: the jump's entry is dropped, and a global and
+	// the address arithmetic fold into the store as offsets.
+	jumpEnded := func() []*ir.Instr {
+		g := blockIns(120, ir.OpGlobal)
+		v := blockIns(121, ir.OpBin, g, outer)
+		w := blockIns(122, ir.OpNeg, v)
+		return []*ir.Instr{g, v, w, blockIns(123, ir.OpStore, addr, w), blockIns(124, ir.OpJump)}
+	}
+
 	var cases []blockCase
 	for _, window := range []int{0, 1, 2} {
 		for _, trace := range []bool{false, true} {
@@ -303,34 +421,84 @@ func TestStepBlockMatchesStep(t *testing.T) {
 				edgeCase("phi-pred-none", chainPhi, -1, false),
 				edgeCase("phi-constant", constPhi, 1, false),
 				blockCase{name: "rand-print/" + tag, opts: opts, outer: outer, body: randPrint()},
+				blockCase{name: "wide-dag/" + tag, opts: opts, outer: outer, body: wide(),
+					addrs: []uint64{0x600, 0x608, 0x610, 0x618, 0x620, 0x628, 0x630, 0x638}},
+				blockCase{name: "temp-used-twice/" + tag, opts: opts, outer: outer, body: twice(),
+					addrs: []uint64{0x700}},
+				blockCase{name: "break-arg-only/" + tag, opts: opts, outer: outer, body: breakOnly()},
+				blockCase{name: "jump-ended/" + tag, opts: opts, outer: outer, body: jumpEnded(),
+					addrs: []uint64{0x800}},
 			)
 		}
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			want := runTwin(t, c, false)
-			got := runTwin(t, c, true)
+			want := runTwin(t, c, twinStep)
+			got := runTwin(t, c, twinPlain)
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("StepBlock diverged from Step:\nstep:  %+v\nblock: %+v", want, got)
 			}
+			// The VM replays compacted templates only when the runtime
+			// does not trace dependences.
+			if c.opts.TraceDeps {
+				return
+			}
+			compact := compactOf(c)
+			plain := masked(got, c, compact)
+			if cgot := masked(runTwin(t, c, twinCompact), c, compact); !reflect.DeepEqual(cgot, plain) {
+				t.Errorf("compacted replay diverged from plain:\nplain:   %+v\ncompact: %+v", plain, cgot)
+			}
 		})
+	}
+
+	// The compaction cases compact as designed.
+	written := func(tpl BlockTemplate) map[int32]bool {
+		w := map[int32]bool{}
+		for _, ti := range tpl {
+			w[ti.Res] = true
+		}
+		return w
+	}
+	entries := func(body []*ir.Instr) (BlockTemplate, map[int32]bool) {
+		tpl := compactOf(blockCase{outer: outer, body: body})
+		return tpl, written(tpl)
+	}
+	if tpl, w := entries(wide()); !w[94] || !w[95] || w[90] || w[93] || len(tpl) != 8+3 {
+		t.Errorf("wide DAG: want the eight loads, t1 and t2 materialized and the branch; got %+v", tpl)
+	} else {
+		for _, ti := range tpl {
+			var buf [2]TplOp
+			if n := len(ti.Operands(&buf)); n > maxFanIn {
+				t.Errorf("wide DAG: entry folds %d operands, above the cap %d", n, maxFanIn)
+			}
+		}
+	}
+	// outer reaches the return through v→b (2+1+1) and v→a→b (2+1+1+1).
+	if tpl, _ := entries(twice()); len(tpl) != 2 || tpl[1].Kind != TplRet || tpl[1].A != (TplOp{Reg: 1, Off: 5}) {
+		t.Errorf("temporary used twice: want the load and the return folding outer at offset 5; got %+v", tpl)
+	}
+	if tpl, w := entries(breakOnly()); !w[110] || !w[113] || w[111] || w[112] || len(tpl) != 3 {
+		t.Errorf("break-arg-only: want dead leaves x and u and the branch; got %+v", tpl)
+	}
+	if tpl, _ := entries(jumpEnded()); len(tpl) != 1 || tpl[0].Kind != TplStore || tpl[0].Base != 1+1+1 {
+		t.Errorf("jump-ended: want one store over base offset 3; got %+v", tpl)
 	}
 
 	// The tracer cases must actually discriminate: the plain load of a
 	// cross-iteration store is flagged, the reduction load is not.
 	trace := Options{TraceDeps: true}
-	if c := runTwin(t, blockCase{opts: trace, outer: outer, body: reduction(false), addrs: []uint64{0x300, 0x300}}, true).carried; len(c) != 1 || c[0] != 1 {
+	if c := runTwin(t, blockCase{opts: trace, outer: outer, body: reduction(false), addrs: []uint64{0x300, 0x300}}, twinPlain).carried; len(c) != 1 || c[0] != 1 {
 		t.Errorf("carried load: CarriedDeps = %v, want [1]", c)
 	}
-	if c := runTwin(t, blockCase{opts: trace, outer: outer, body: reduction(true), addrs: []uint64{0x200, 0x200}}, true).carried; len(c) != 0 {
+	if c := runTwin(t, blockCase{opts: trace, outer: outer, body: reduction(true), addrs: []uint64{0x200, 0x200}}, twinPlain).carried; len(c) != 0 {
 		t.Errorf("reduction load: CarriedDeps = %v, want none", c)
 	}
 	phis, body := carriedPhis(false)
-	if c := runTwin(t, blockCase{opts: trace, outer: outer, phis: phis, predIdx: 1, body: body}, true).carried; len(c) != 1 || c[0] != 1 {
+	if c := runTwin(t, blockCase{opts: trace, outer: outer, phis: phis, predIdx: 1, body: body}, twinPlain).carried; len(c) != 1 || c[0] != 1 {
 		t.Errorf("carried phis: CarriedDeps = %v, want [1]", c)
 	}
 	phis, body = carriedPhis(true)
-	if c := runTwin(t, blockCase{opts: trace, outer: outer, phis: phis, predIdx: 1, body: body}, true).carried; len(c) != 0 {
+	if c := runTwin(t, blockCase{opts: trace, outer: outer, phis: phis, predIdx: 1, body: body}, twinPlain).carried; len(c) != 0 {
 		t.Errorf("induction and reduction phis: CarriedDeps = %v, want none", c)
 	}
 }

@@ -438,29 +438,30 @@ func (rt *Runtime) argVec(fs *FrameState, v ir.Value) shadow.Vec {
 	return nil
 }
 
-// maxInto folds vec's availability times into out over levels [lo, d),
-// applying the tag-mismatch-is-zero rule. A free function (not a closure)
-// so Step's level loops compile without a closure environment.
-func maxInto(out shadow.Vec, tags []uint64, vec shadow.Vec, lo, d int) {
+// maxInto folds vec's availability times, each plus off, into out over
+// levels [lo, d), applying the tag-mismatch-is-zero rule. A free function
+// (not a closure) so Step's level loops compile without a closure
+// environment.
+func maxInto(out shadow.Vec, tags []uint64, vec shadow.Vec, off uint64, lo, d int) {
 	if n := len(vec); n < d {
 		d = n
 	}
 	for l := lo; l < d; l++ {
-		if e := vec[l]; e.Tag == tags[l] && e.Time > out[l].Time {
-			out[l].Time = e.Time
+		if e := vec[l]; e.Tag == tags[l] && e.Time+off > out[l].Time {
+			out[l].Time = e.Time + off
 		}
 	}
 }
 
 // maxIntoSlot is maxInto over a borrowed shadow-memory slot (the
 // allocation-free load path).
-func maxIntoSlot(out shadow.Vec, tags []uint64, s shadow.Slot, lo, d int) {
+func maxIntoSlot(out shadow.Vec, tags []uint64, s shadow.Slot, off uint64, lo, d int) {
 	if n := len(s.Times); n < d {
 		d = n
 	}
 	for l := lo; l < d; l++ {
-		if t := s.Times[l]; s.Tags[l] == tags[l] && t > out[l].Time {
-			out[l].Time = t
+		if t := s.Times[l]; s.Tags[l] == tags[l] && t+off > out[l].Time {
+			out[l].Time = t + off
 		}
 	}
 }
@@ -507,25 +508,25 @@ func (rt *Runtime) Step(fs *FrameState, ins *ir.Instr, addr uint64, predIdx int)
 	switch ins.Op {
 	case ir.OpPhi:
 		if !ins.Induction && predIdx >= 0 && predIdx < len(ins.Args) {
-			maxInto(out, tags, rt.argVec(fs, ins.Args[predIdx]), lo, d)
+			maxInto(out, tags, rt.argVec(fs, ins.Args[predIdx]), 0, lo, d)
 		}
 		// Induction phi: dependence on the carried value is broken; only the
 		// control time remains.
 	case ir.OpLoad:
-		maxInto(out, tags, rt.argVec(fs, ins.Args[0]), lo, d) // address computation
-		maxIntoSlot(out, tags, rt.mem.Load(addr), lo, d)
+		maxInto(out, tags, rt.argVec(fs, ins.Args[0]), 0, lo, d) // address computation
+		maxIntoSlot(out, tags, rt.mem.Load(addr), 0, lo, d)
 	default:
 		for i, a := range ins.Args {
 			if i == ins.BreakArg {
 				continue // induction/reduction old-value dependence: ignored
 			}
-			maxInto(out, tags, rt.argVec(fs, a), lo, d)
+			maxInto(out, tags, rt.argVec(fs, a), 0, lo, d)
 		}
 		switch ins.Builtin {
 		case "rand", "frand", "srand":
-			maxInto(out, tags, rt.randVec, lo, d)
+			maxInto(out, tags, rt.randVec, 0, lo, d)
 		case "printval", "printstr", "printnl":
-			maxInto(out, tags, rt.ioVec, lo, d)
+			maxInto(out, tags, rt.ioVec, 0, lo, d)
 		}
 	}
 

@@ -93,11 +93,12 @@ func BenchmarkStepDeepWindow(b *testing.B) {
 	}
 }
 
-// BenchmarkStepBlockLoop measures one replay of a loop body as the VM
-// issues it: the back edge's phis (an induction counter and a carried
-// value) fused with a body that loads, computes, stores and branches,
-// then the branch's control push, six levels deep.
-func BenchmarkStepBlockLoop(b *testing.B) {
+// benchStepBlock measures one replay of a loop body as the VM issues it:
+// the back edge's phis (an induction counter and a carried value) fused
+// with a body that loads, computes, stores and branches, then the
+// branch's control push, six levels deep. With compact set the body
+// replays its compacted template, as the VM's fused path does.
+func benchStepBlock(b *testing.B, compact bool) {
 	rt, fs, f := benchRuntime(6)
 	mk := func(id int, op ir.Op, args ...ir.Value) *ir.Instr {
 		ins := &ir.Instr{Op: op, Bin: ir.BinAdd, Typ: types.Scalar(ast.Int), Args: args, BreakArg: -1}
@@ -120,15 +121,28 @@ func BenchmarkStepBlockLoop(b *testing.B) {
 	st := mk(10, ir.OpStore, addr, sum)
 	cmp := mk(11, ir.OpBin, next, base)
 	br := mk(13, ir.OpBr, cmp)
-	edge := EdgeTemplateOf([]*ir.Instr{i, acc}, 1)
-	body := BlockTemplateOf([]*ir.Instr{addr, ld, prod, sum, st, next, cmp, br})
+	phis := []*ir.Instr{i, acc}
+	instrs := []*ir.Instr{addr, ld, prod, sum, st, next, cmp, br}
+	edge := EdgeTemplateOf(phis, 1)
+	body := BlockTemplateOf(instrs)
+	var work uint64
+	for _, ins := range instrs {
+		work += ins.Latency()
+	}
+	if compact {
+		f.NewBlock("body").Instrs = append(phis, instrs...)
+		body = NewCompactor(f).Template(instrs)
+	}
 	branch, popAt := f.NewBlock("hdr"), f.NewBlock("exit")
 	addrs := []uint64{0x1000, 0x1000}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		rt.PopSameBranch(fs, branch)
-		brVec := rt.StepBlock(fs, edge, body, addrs)
+		brVec := rt.StepBlock(fs, edge, body, addrs, work)
 		rt.PushBlockCtrl(fs, branch, popAt, brVec)
 	}
 }
+
+func BenchmarkStepBlockPlain(b *testing.B)   { benchStepBlock(b, false) }
+func BenchmarkStepBlockCompact(b *testing.B) { benchStepBlock(b, true) }
