@@ -1,6 +1,7 @@
 package kremlin_test
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"sync"
@@ -10,12 +11,14 @@ import (
 	"kremlin/internal/frontcache"
 	"kremlin/internal/krfuzz"
 	"kremlin/internal/krgen"
+	"kremlin/internal/planner"
 )
 
 // frontEdit compiles base and then edit through one fresh front cache,
-// requires the edit's front view (lint, vet, bytecode) to equal a cold
-// compile's, and returns the edit compile's cache misses.
-func frontEdit(t *testing.T, base, edit string) uint64 {
+// requires the edit's front view (IR, lint, vet, bytecode) to equal a cold
+// compile's, and returns the edit compile's absint and mod/ref misses and
+// its IR misses (the functions it lowered).
+func frontEdit(t *testing.T, base, edit string) (misses, lowered uint64) {
 	t.Helper()
 	fc := frontcache.New(frontcache.MaxEntries, frontcache.MaxBytes)
 	o := kremlin.CompileOptions{FrontCache: fc.Scope("")}
@@ -27,7 +30,9 @@ func frontEdit(t *testing.T, base, edit string) uint64 {
 	if err != nil {
 		t.Fatalf("edit: %v", err)
 	}
-	misses := fc.Stats().Misses - before.Misses
+	after := fc.Stats()
+	lowered = after.Kinds[frontcache.KindIR].Misses - before.Kinds[frontcache.KindIR].Misses
+	misses = after.Misses - before.Misses - lowered
 	cold, err := kremlin.Compile("f.kr", edit)
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +43,7 @@ func frontEdit(t *testing.T, base, edit string) uint64 {
 	if w, c := factsView(warm), factsView(cold); w != c {
 		t.Fatalf("front cache facts diverged from a cold compile\n--- cold ---\n%s--- front cache ---\n%s", c, w)
 	}
-	return misses
+	return misses, lowered
 }
 
 // factsView renders every absint fact of p, including those the bytecode
@@ -86,8 +91,10 @@ func TestFrontCacheLineShift(t *testing.T) {
 	// Lines inserted above the helper and inside its body move every
 	// position but change no analysis input.
 	edit := "// a comment\n\n\n" + strings.Replace(frontHelper, "\tint z = 0;", "\n\n\tint z = 0;", 1) + "\n" + frontMain
-	if m := frontEdit(t, base, edit); m != 0 {
-		t.Errorf("line-shifting edit missed %d lookups, want 0", m)
+	// The helper's text changed, so it alone is lowered again; main's
+	// stored body moves to its new offset.
+	if m, l := frontEdit(t, base, edit); m != 0 || l != 1 {
+		t.Errorf("line-shifting edit missed %d analysis lookups and lowered %d functions, want 0 and 1", m, l)
 	}
 }
 
@@ -96,8 +103,10 @@ func TestFrontCacheRename(t *testing.T) {
 	edit := strings.ReplaceAll(base, "helper", "renamed")
 	// The helper's own name is not an analysis input; main's call site
 	// names it, so main alone misses: first pass, final pass, mod/ref.
-	if m := frontEdit(t, base, edit); m != 3 {
-		t.Errorf("rename missed %d lookups, want 3 (main only)", m)
+	// Every function sees the renamed declaration, so all are lowered
+	// again.
+	if m, l := frontEdit(t, base, edit); m != 3 || l != 2 {
+		t.Errorf("rename missed %d analysis lookups and lowered %d functions, want 3 (main only) and 2", m, l)
 	}
 }
 
@@ -107,8 +116,8 @@ func TestFrontCacheCallerChangesArgRanges(t *testing.T) {
 	edit := get + "int main() {\n\tint a[10];\n\tint s = 0;\n\tfor (int k = 0; k < 20; k++) {\n\t\ts = s + get(a, k % 12);\n\t}\n\tprint(\"s\", s);\n\treturn 0;\n}\n"
 	// main misses all three lookups; get's final pass reads the joined
 	// argument ranges, so it must miss too.
-	if m := frontEdit(t, base, edit); m != 4 {
-		t.Errorf("caller edit missed %d lookups, want 4 (main's three, get's final pass)", m)
+	if m, l := frontEdit(t, base, edit); m != 4 || l != 1 {
+		t.Errorf("caller edit missed %d analysis lookups and lowered %d functions, want 4 (main's three, get's final pass) and 1", m, l)
 	}
 }
 
@@ -119,8 +128,8 @@ func TestFrontCacheCalleeChangesReturnRange(t *testing.T) {
 	// idx misses all three lookups; main's two absint passes read idx's
 	// return range and must miss; its mod/ref summary reads idx's summary,
 	// which did not change.
-	if m := frontEdit(t, base, edit); m != 5 {
-		t.Errorf("callee edit missed %d lookups, want 5 (idx's three, main's two absint passes)", m)
+	if m, l := frontEdit(t, base, edit); m != 5 || l != 1 {
+		t.Errorf("callee edit missed %d analysis lookups and lowered %d functions, want 5 (idx's three, main's two absint passes) and 1", m, l)
 	}
 }
 
@@ -253,8 +262,8 @@ func TestFrontCacheCalleeSummaryChanges(t *testing.T) {
 	base := "int G;\nint w(int x) {\n\treturn x;\n}\n" + main
 	edit := "int G;\nint w(int x) {\n\tG = G + x;\n\treturn x;\n}\n" + main
 	// w misses all three lookups; main's mod/ref summary reads w's.
-	if m := frontEdit(t, base, edit); m != 4 {
-		t.Errorf("callee edit missed %d lookups, want 4 (w's three, main's mod/ref)", m)
+	if m, l := frontEdit(t, base, edit); m != 4 || l != 1 {
+		t.Errorf("callee edit missed %d analysis lookups and lowered %d functions, want 4 (w's three, main's mod/ref) and 1", m, l)
 	}
 }
 
@@ -268,8 +277,8 @@ func TestFrontCacheFirstCaller(t *testing.T) {
 	edit := h + "int main() {\n\tprint(\"g\", h(G));\n\treturn 0;\n}\n"
 	// main misses all three lookups; h's final pass reads its (new)
 	// parameter facts.
-	if m := frontEdit(t, base, edit); m != 4 {
-		t.Errorf("first caller missed %d lookups, want 4 (main's three, h's final pass)", m)
+	if m, l := frontEdit(t, base, edit); m != 4 || l != 1 {
+		t.Errorf("first caller missed %d analysis lookups and lowered %d functions, want 4 (main's three, h's final pass) and 1", m, l)
 	}
 }
 
@@ -301,5 +310,98 @@ func TestFrontCacheByteBound(t *testing.T) {
 	}
 	if uint64(st.Entries) >= st.Misses {
 		t.Errorf("stats %+v: nothing was evicted", st)
+	}
+}
+
+// scaleFrontConfig is the 1,111-helper scale program of the serve-edit
+// benchmark, with fewer loop iterations so its profiles are quick.
+var scaleFrontConfig = krgen.ScaleForLines(10000, 8)
+
+// profileView profiles p and renders its KRPF bytes and OpenMP plan.
+func profileView(t *testing.T, p *kremlin.Program) string {
+	t.Helper()
+	var out bytes.Buffer
+	prof, _, err := p.Profile(&kremlin.RunConfig{Out: &out})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := prof.WriteTo(&out); err != nil {
+		t.Fatal(err)
+	}
+	return out.String() + p.Plan(prof, planner.OpenMP()).Render()
+}
+
+// TestFrontCacheScaleEdits: single-helper edits of the scale program,
+// early to late in the file, through one scope. Each lowers exactly the
+// edited helper, moving every later function's stored body to its new
+// offset, and compiles, profiles and plans exactly as a cold compile does.
+func TestFrontCacheScaleEdits(t *testing.T) {
+	cfg := scaleFrontConfig
+	fc := frontcache.New(frontcache.MaxEntries, frontcache.MaxBytes)
+	o := kremlin.CompileOptions{FrontCache: fc.Scope("tenant")}
+	if _, err := kremlin.CompileWith("scale.kr", krgen.GenerateScale(1, cfg, nil), o); err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 5; k++ {
+		idx := k*cfg.Funcs/5 + 3
+		src := krgen.ScaleEdit(1, cfg, idx)
+		before := fc.Stats().Kinds[frontcache.KindIR]
+		warm, err := kremlin.CompileWith("scale.kr", src, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := fc.Stats().Kinds[frontcache.KindIR]
+		if m, h := after.Misses-before.Misses, after.Hits-before.Hits; m != 1 || h != uint64(cfg.Funcs) {
+			t.Errorf("edit of %s: lowered %d functions and reused %d, want 1 and %d", krgen.ScaleFuncName(idx), m, h, cfg.Funcs)
+		}
+		cold, err := kremlin.Compile("scale.kr", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w, c := krfuzz.FrontView(warm), krfuzz.FrontView(cold); w != c {
+			t.Fatalf("edit of %s: front view diverged from a cold compile", krgen.ScaleFuncName(idx))
+		}
+		if profileView(t, warm) != profileView(t, cold) {
+			t.Fatalf("edit of %s: profile or plan diverged from a cold compile", krgen.ScaleFuncName(idx))
+		}
+	}
+}
+
+// TestFrontCacheScaleConcurrentEdits compiles two different edits of the
+// scale program through one scope at once, so both read the same stored
+// bodies (run it under -race).
+func TestFrontCacheScaleConcurrentEdits(t *testing.T) {
+	cfg := scaleFrontConfig
+	fc := frontcache.New(frontcache.MaxEntries, frontcache.MaxBytes)
+	o := kremlin.CompileOptions{FrontCache: fc.Scope("tenant")}
+	if _, err := kremlin.CompileWith("scale.kr", krgen.GenerateScale(1, cfg, nil), o); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	views := make([]string, 2)
+	for g := range views {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			p, err := kremlin.CompileWith("scale.kr", krgen.ScaleEdit(1, cfg, 100+g*700), o)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			views[g] = krfuzz.FrontView(p)
+		}(g)
+	}
+	wg.Wait()
+	for g, v := range views {
+		cold, err := kremlin.Compile("scale.kr", krgen.ScaleEdit(1, cfg, 100+g*700))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v != krfuzz.FrontView(cold) {
+			t.Errorf("edit %d: front view diverged from a cold compile", g)
+		}
+	}
+	if ir := fc.Stats().Kinds[frontcache.KindIR]; ir.Misses != uint64(cfg.Funcs)+1+2 || ir.Hits != 2*uint64(cfg.Funcs) {
+		t.Errorf("IR lookups %+v, want %d misses (the base and two edits) and %d hits", ir, cfg.Funcs+3, 2*cfg.Funcs)
 	}
 }

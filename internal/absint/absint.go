@@ -171,7 +171,7 @@ func AnalyzeWith(mod *ir.Module, fc *frontcache.Session) *Facts {
 		if fc != nil {
 			k := passKey(fc, f, calls[f], sums)
 			keys1[f] = k
-			if v, ok := fc.Get(k); ok {
+			if v, ok := fc.Get(frontcache.KindAbsint, k); ok {
 				p1 = v.(*pass1Result)
 			}
 		}
@@ -271,7 +271,7 @@ func AnalyzeWith(mod *ir.Module, fc *frontcache.Session) *Facts {
 		var k frontcache.Key
 		if fc != nil {
 			k = finalKey(fc, keys1[f], calls[f], sums, pv, pa, calleeMoved)
-			if v, ok := fc.Get(k); ok {
+			if v, ok := fc.Get(frontcache.KindAbsint, k); ok {
 				res = v.(*fnResult)
 			}
 		}

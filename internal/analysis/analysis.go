@@ -22,12 +22,13 @@ type Stats struct {
 func Run(m *ir.Module) Stats {
 	var st Stats
 	for _, f := range m.Funcs {
-		st.add(runFunc(f))
+		st.Add(RunFunc(f))
 	}
 	return st
 }
 
-func (s *Stats) add(o Stats) {
+// Add adds o's counts to s.
+func (s *Stats) Add(o Stats) {
 	s.InductionPhis += o.InductionPhis
 	s.ReductionPhis += o.ReductionPhis
 	s.MemoryReductions += o.MemoryReductions
@@ -53,7 +54,8 @@ func initFunc(f *ir.Func) {
 	}
 }
 
-func runFunc(f *ir.Func) Stats {
+// RunFunc annotates one function and returns what it found there.
+func RunFunc(f *ir.Func) Stats {
 	var st Stats
 	initFunc(f)
 	g := cfg.New(f)
@@ -80,7 +82,7 @@ func runFunc(f *ir.Func) Stats {
 			if ins.Op != ir.OpPhi {
 				continue
 			}
-			st.add(classifyPhi(f, l, ins, uses))
+			st.Add(classifyPhi(f, l, ins, uses))
 		}
 		st.MemoryReductions += memoryReductions(l, uses)
 	}

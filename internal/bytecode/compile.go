@@ -3,6 +3,7 @@ package bytecode
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"kremlin/internal/absint"
 	"kremlin/internal/ast"
@@ -67,6 +68,10 @@ func (c *fnCompiler) provenDiv(ins *ir.Instr) bool {
 	return c.facts != nil && !c.inExact && c.facts.NonZeroDivisor(ins)
 }
 
+// compactors recycles the Compactors, and their value-indexed scratch,
+// from one function's compilation to the next.
+var compactors = sync.Pool{New: func() any { return new(kremlib.Compactor) }}
+
 func compileFunc(f *ir.Func, prog *regions.Program, instr *instrument.Module, fidx map[*ir.Func]int32, facts *absint.Facts) *FuncCode {
 	c := &fnCompiler{
 		f:     f,
@@ -100,10 +105,14 @@ func compileFunc(f *ir.Func, prog *regions.Program, instr *instrument.Module, fi
 	for i := range c.fc.Blocks {
 		if bb := &c.fc.Blocks[i]; bb.Fused {
 			if cp == nil {
-				cp = kremlib.NewCompactor(f)
+				cp = compactors.Get().(*kremlib.Compactor)
+				cp.Reset(f)
 			}
 			bb.Compact = cp.Template(bb.IR.Instrs[len(phisOf(bb.IR)):])
 		}
+	}
+	if cp != nil {
+		compactors.Put(cp)
 	}
 	for i := range c.fc.Blocks {
 		c.emitExact(&c.fc.Blocks[i])

@@ -532,7 +532,7 @@ func (sc *summaryCache) load(comp []*ir.Func, recursive bool, builds map[*ir.Fun
 	for i, f := range comp {
 		k := sc.key(f, recursive)
 		sc.keys[f] = k
-		if v, ok := sc.fc.Get(k); ok {
+		if v, ok := sc.fc.Get(frontcache.KindModRef, k); ok {
 			entries[i] = v.(*summaryEntry)
 		} else {
 			hit = false

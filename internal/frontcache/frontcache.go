@@ -1,24 +1,28 @@
 // Package frontcache is the serve daemon's per-function cache of
-// front-half analysis results: absint's two interprocedural passes and
-// depcheck's mod/ref summaries. A daemon that profiles edit after edit of
-// one program re-runs those analyses only for the functions whose inputs
-// changed.
+// front-half results: each function's lowered, annotated IR, absint's two
+// interprocedural passes and depcheck's mod/ref summaries. A daemon that
+// profiles edit after edit of one program lowers and analyzes again only
+// the functions whose inputs changed.
 //
-// Each entry is keyed on the exact input of one per-function computation
-// — the function's local content sum (irhash.LocalSum) plus whatever the
-// computation reads from other functions, such as callee summaries or
-// parameter ranges joined from callers. The key-building callers live in
-// internal/absint and internal/depcheck; this package stores opaque,
-// immutable values. Cached values never mention source positions or
-// pointers into one program's IR, so a hit is shared as-is across
-// programs, and positions are recomputed from the current IR.
+// Each entry is keyed on the exact input of one per-function computation.
+// An IR entry's input is the function's source text plus the declarations
+// it can see (see Lowering); an analysis entry's is the function's local
+// content sum (irhash.LocalSum) plus whatever the computation reads from
+// other functions, such as callee summaries or parameter ranges joined
+// from callers. The analysis key builders live in internal/absint and
+// internal/depcheck, which store opaque, immutable values here. Cached
+// values never hold pointers into one program's IR, so a hit is shared
+// as-is across programs: analysis values hold no positions, which are
+// recomputed from the current IR, and an IR entry is encoded bytes, which
+// a hit decodes into fresh blocks and instructions at the function's
+// current offset.
 //
 // The cache is a single LRU bounded both by entry count and by the
 // estimated bytes of its values (MaxEntries and MaxBytes in the daemon),
 // and safe for concurrent compiles. Compiles reach it through a Scope:
 // every key a scope reads or writes is mixed with a salt derived from the
 // scope's name, so tenants never see each other's entries. The bounds are
-// shared by every scope.
+// shared by every scope, and the hit and miss counters are kept per Kind.
 package frontcache
 
 import (
@@ -30,13 +34,14 @@ import (
 	"kremlin/internal/irhash"
 )
 
-// The daemon's bounds. A function costs at most three entries (absint
-// pass 1, absint final pass, mod/ref summary), so MaxEntries holds every
-// function of a dozen 1,000-function programs. A final-pass entry carries
-// a 32-byte range for every value of its function, so one very large
-// function can cost megabytes; MaxBytes caps the sum of the estimates.
+// The daemon's bounds. A function costs at most four entries (lowered
+// IR, absint pass 1, absint final pass, mod/ref summary), so MaxEntries
+// holds every function of sixteen 1,000-function programs. A final-pass
+// entry carries a 32-byte range for every value of its function, so one
+// very large function can cost megabytes; MaxBytes caps the sum of the
+// estimates.
 const (
-	MaxEntries = 1 << 15
+	MaxEntries = 1 << 16
 	MaxBytes   = 128 << 20
 )
 
@@ -53,12 +58,32 @@ type Value interface {
 	Bytes() int64
 }
 
+// Kind names what an entry holds; the counters are kept per kind.
+type Kind int
+
+// The entry kinds.
+const (
+	KindIR     Kind = iota // a lowered, annotated function body (Lowering)
+	KindAbsint             // one of absint's two per-function passes
+	KindModRef             // a depcheck mod/ref summary
+	numKinds
+)
+
+func (k Kind) String() string { return [...]string{"ir", "absint", "modref"}[k] }
+
+// Counts is one kind's lookup counters.
+type Counts struct {
+	Hits   uint64
+	Misses uint64
+}
+
 // Stats is a point-in-time counter snapshot. Hits and Misses count
-// per-function lookups; Bytes is the estimated size of the resident
-// entries.
+// per-function lookups of every kind, and Kinds splits them by Kind;
+// Bytes is the estimated size of the resident entries.
 type Stats struct {
 	Hits    uint64
 	Misses  uint64
+	Kinds   [numKinds]Counts
 	Entries int
 	Bytes   int64
 }
@@ -71,8 +96,7 @@ type Cache struct {
 	bytes      int64
 	ll         *list.List // front = most recently used
 	items      map[Key]*list.Element
-	hits       uint64
-	misses     uint64
+	kinds      [numKinds]Counts
 }
 
 type item struct {
@@ -91,7 +115,12 @@ func New(maxEntries int, maxBytes int64) *Cache {
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return Stats{Hits: c.hits, Misses: c.misses, Entries: c.ll.Len(), Bytes: c.bytes}
+	st := Stats{Kinds: c.kinds, Entries: c.ll.Len(), Bytes: c.bytes}
+	for _, k := range c.kinds {
+		st.Hits += k.Hits
+		st.Misses += k.Misses
+	}
+	return st
 }
 
 // Scope is a view of the cache restricted to one keyspace.
@@ -130,17 +159,17 @@ func (s *Scope) Key(input []byte) Key {
 	return k
 }
 
-// Get returns the value stored under k.
-func (s *Scope) Get(k Key) (Value, bool) {
+// Get returns the value stored under k, counting the lookup under kind.
+func (s *Scope) Get(kind Kind, k Key) (Value, bool) {
 	c := s.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[k]
 	if !ok {
-		c.misses++
+		c.kinds[kind].Misses++
 		return nil, false
 	}
-	c.hits++
+	c.kinds[kind].Hits++
 	c.ll.MoveToFront(el)
 	return el.Value.(*item).val, true
 }

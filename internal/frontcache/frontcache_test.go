@@ -17,14 +17,14 @@ func TestByteBoundEvictsLeastRecentlyUsed(t *testing.T) {
 	if st := c.Stats(); st.Entries != 3 || st.Bytes != 3*(entryOverhead+1000) {
 		t.Fatalf("after three puts: %+v", st)
 	}
-	s.Get(k(0)) // k(1) is now the least recently used
+	s.Get(KindAbsint, k(0)) // k(1) is now the least recently used
 	s.Put(k(3), blob(1500))
 	st := c.Stats()
 	if st.Entries != 2 || st.Bytes != 2*entryOverhead+1000+1500 {
 		t.Fatalf("after a large put: %+v, want k(0) and k(3) resident", st)
 	}
 	for i, want := range []bool{true, false, false, true} {
-		if _, ok := s.Get(k(i)); ok != want {
+		if _, ok := s.Get(KindAbsint, k(i)); ok != want {
 			t.Errorf("entry %d resident = %v, want %v", i, ok, want)
 		}
 	}
@@ -66,10 +66,10 @@ func TestScopesDoNotShareKeys(t *testing.T) {
 	c := New(100, 1<<20)
 	a, b := c.Scope("a"), c.Scope("b")
 	a.Put(a.Key([]byte("x")), blob(1))
-	if _, ok := b.Get(b.Key([]byte("x"))); ok {
+	if _, ok := b.Get(KindAbsint, b.Key([]byte("x"))); ok {
 		t.Fatal("scope b saw scope a's entry")
 	}
-	if _, ok := a.Get(a.Key([]byte("x"))); !ok {
+	if _, ok := a.Get(KindAbsint, a.Key([]byte("x"))); !ok {
 		t.Fatal("scope a lost its entry")
 	}
 }

@@ -14,6 +14,21 @@ import (
 
 // Build lowers file to an IR module. The file must have type-checked cleanly.
 func Build(file *ast.File, info *types.Info, src *source.File, errs *source.ErrorList) *ir.Module {
+	return BuildWith(file, info, src, errs, nil)
+}
+
+// A Cache supplies function bodies an earlier build lowered.
+type Cache interface {
+	// Fill gives the shell f — name, return kind, module and positions
+	// set, with every global and function shell of the module built — the
+	// body an earlier build lowered from the same source, and reports
+	// whether it had one.
+	Fill(f *ir.Func) bool
+}
+
+// BuildWith is Build taking each function's body from c when c has it
+// (nil lowers every function).
+func BuildWith(file *ast.File, info *types.Info, src *source.File, errs *source.ErrorList, c Cache) *ir.Module {
 	m := &ir.Module{Name: file.Name, ByName: make(map[string]*ir.Func)}
 	b := &builder{m: m, info: info, src: src, errs: errs}
 
@@ -53,7 +68,9 @@ func Build(file *ast.File, info *types.Info, src *source.File, errs *source.Erro
 		if fs == nil || fs.Decl != fd {
 			continue
 		}
-		b.buildFunc(m.ByName[fd.Name], fs)
+		if f := m.ByName[fd.Name]; c == nil || !c.Fill(f) {
+			b.buildFunc(f, fs)
+		}
 	}
 	return m
 }

@@ -13,6 +13,9 @@
 // recomputed so that a decoded module is bit-identical to the encoder's:
 // region numbering, instrumentation events, bytecode, profiles, and the
 // incremental cache's canonical-IR content hashes all come out the same.
+// AppendFunc and DecodeFunc write and read one function's body in the same
+// layout; the daemon's front cache (internal/frontcache) stores lowered
+// functions with them.
 //
 // Layout (all integers varint/uvarint, strings length-prefixed):
 //
@@ -115,25 +118,7 @@ func Encode(file *source.File, mod *ir.Module) []byte {
 
 	// Bodies.
 	for _, f := range mod.Funcs {
-		blkIdx := make(map[*ir.Block]int, len(f.Blocks))
-		for i, b := range f.Blocks {
-			blkIdx[b] = i
-		}
-		for _, b := range f.Blocks {
-			w.u(uint64(b.ID))
-			w.s(b.Name)
-			w.u(uint64(len(b.Preds)))
-			for _, p := range b.Preds {
-				w.u(uint64(blkIdx[p]))
-			}
-			w.u(uint64(len(b.Instrs)))
-			for _, ins := range b.Instrs {
-				w.instr(ins, fnIdx, blkIdx)
-			}
-		}
-		for _, p := range f.Params {
-			w.u(uint64(p.ID))
-		}
+		w.body(f, fnIdx)
 	}
 
 	h := fnv.New64a()
@@ -153,7 +138,38 @@ func newlineOffsets(s string) []int {
 	return out
 }
 
+// AppendFunc appends f's body — its blocks, instructions and parameter
+// IDs — in a bundle's per-function layout. callees maps every function f
+// calls to its index in the table DecodeFunc will be handed.
+func AppendFunc(buf []byte, f *ir.Func, callees map[*ir.Func]int) []byte {
+	w := &writer{buf: buf}
+	w.body(f, callees)
+	return w.buf
+}
+
 type writer struct{ buf []byte }
+
+func (w *writer) body(f *ir.Func, fnIdx map[*ir.Func]int) {
+	blkIdx := make(map[*ir.Block]int, len(f.Blocks))
+	for i, b := range f.Blocks {
+		blkIdx[b] = i
+	}
+	for _, b := range f.Blocks {
+		w.u(uint64(b.ID))
+		w.s(b.Name)
+		w.u(uint64(len(b.Preds)))
+		for _, p := range b.Preds {
+			w.u(uint64(blkIdx[p]))
+		}
+		w.u(uint64(len(b.Instrs)))
+		for _, ins := range b.Instrs {
+			w.instr(ins, fnIdx, blkIdx)
+		}
+	}
+	for _, p := range f.Params {
+		w.u(uint64(p.ID))
+	}
+}
 
 func (w *writer) u(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
 func (w *writer) i(v int64)  { w.buf = binary.AppendVarint(w.buf, v) }
@@ -281,11 +297,12 @@ func Decode(data []byte) (*Decoded, error) {
 		}
 		hdrs = append(hdrs, hd)
 	}
+	r.globals, r.callees = mod.Globals, mod.Funcs
 	for _, hd := range hdrs {
 		if r.err != nil {
 			break
 		}
-		r.funcBody(hd, mod)
+		r.funcBody(hd.f, hd.FuncShape)
 	}
 	if r.err == nil && r.off != len(payload) {
 		r.fail("%d trailing bytes after last function", len(payload)-r.off)
@@ -305,6 +322,17 @@ type reader struct {
 	b   []byte
 	off int
 	err error
+
+	// What a function body's indices resolve against, and how far its
+	// positions move (see DecodeFunc).
+	globals []*ir.Global
+	callees []*ir.Func
+	shift   int
+
+	// Per-body scratch, reused across the functions of one bundle.
+	byID    []*ir.Instr
+	refs    []argRef
+	seenBlk []bool
 }
 
 func (r *reader) fail(format string, args ...interface{}) {
@@ -471,11 +499,16 @@ type argRef struct {
 	id  int
 }
 
+// FuncShape is what a function's header tells the decoder of its body.
+type FuncShape struct {
+	NumValues int // value-ID bound
+	NumParams int
+	NumBlocks int
+}
+
 type funcHeader struct {
-	f         *ir.Func
-	numValues int
-	numParams int
-	numBlocks int
+	f *ir.Func
+	FuncShape
 }
 
 func (r *reader) funcHeader() funcHeader {
@@ -485,30 +518,59 @@ func (r *reader) funcHeader() funcHeader {
 	}
 	f.Pos = int(r.i())
 	f.EndPos = int(r.i())
-	return funcHeader{
-		f:         f,
-		numValues: r.n(maxValuesPer, "value count"),
-		numParams: r.n(maxArgsPer, "param count"),
-		numBlocks: r.n(maxBlocksPer, "block count"),
-	}
+	return funcHeader{f: f, FuncShape: FuncShape{
+		NumValues: r.n(maxValuesPer, "value count"),
+		NumParams: r.n(maxArgsPer, "param count"),
+		NumBlocks: r.n(maxBlocksPer, "block count"),
+	}}
 }
 
-func (r *reader) funcBody(hd funcHeader, mod *ir.Module) {
-	f := hd.f
-	// Allocate every block shell up front: preds and branch targets refer
-	// to blocks by position, including forward references.
-	f.Blocks = make([]*ir.Block, hd.numBlocks)
-	for i := range f.Blocks {
-		f.Blocks[i] = &ir.Block{Func: f, LoopID: -1}
+// DecodeFunc fills the shell f with a body AppendFunc wrote: globals
+// resolve by index into globals, callees by index into callees, and every
+// nonzero position moves by shift (position 0 marks an instruction with
+// no source position, such as a phi). Only the decoder's bounds checks
+// run; Decode alone validates what it returns.
+func DecodeFunc(data []byte, f *ir.Func, shape FuncShape, globals []*ir.Global, callees []*ir.Func, shift int) error {
+	r := &reader{b: data, globals: globals, callees: callees, shift: shift}
+	r.funcBody(f, shape)
+	if r.err == nil && r.off != len(data) {
+		r.fail("%d trailing bytes after the function body", len(data)-r.off)
 	}
-	if hd.numBlocks == 0 {
+	return r.err
+}
+
+// Lower bounds on the encoded size of a block and of an instruction (one
+// byte per field), which cap what a header can make the decoder allocate.
+const (
+	minBlockBytes = 4
+	minInstrBytes = 15
+)
+
+func (r *reader) funcBody(f *ir.Func, hd FuncShape) {
+	if hd.NumBlocks == 0 {
 		r.fail("func %q: no blocks", f.Name)
 		return
 	}
+	if hd.NumBlocks > (len(r.b)-r.off)/minBlockBytes {
+		r.fail("func %q: %d blocks overrun the input", f.Name, hd.NumBlocks)
+		return
+	}
+	// Allocate every block up front: preds and branch targets refer to
+	// blocks by position, including forward references.
+	blocks := make([]ir.Block, hd.NumBlocks)
+	f.Blocks = make([]*ir.Block, hd.NumBlocks)
+	for i := range blocks {
+		blocks[i] = ir.Block{Func: f, LoopID: -1}
+		f.Blocks[i] = &blocks[i]
+	}
 
-	byID := make(map[int]*ir.Instr, hd.numValues)
-	var refs []argRef
-	seenBlkID := make(map[int]bool, hd.numBlocks)
+	if cap(r.byID) < hd.NumValues {
+		r.byID = make([]*ir.Instr, hd.NumValues)
+	}
+	byID := r.byID[:hd.NumValues]
+	clear(byID)
+	refs := r.refs[:0]
+	seenBlkID := r.seenBlk[:0]
 	maxBlkID := 0
 	nInstrs := 0
 	for _, b := range f.Blocks {
@@ -516,6 +578,9 @@ func (r *reader) funcBody(hd funcHeader, mod *ir.Module) {
 			return
 		}
 		b.ID = r.n(maxBlocksPer, "block ID")
+		if b.ID >= len(seenBlkID) {
+			seenBlkID = append(seenBlkID, make([]bool, b.ID+1-len(seenBlkID))...)
+		}
 		if r.err == nil && seenBlkID[b.ID] {
 			r.fail("func %q: duplicate block ID %d", f.Name, b.ID)
 			return
@@ -525,9 +590,9 @@ func (r *reader) funcBody(hd funcHeader, mod *ir.Module) {
 			maxBlkID = b.ID
 		}
 		b.Name = r.str()
-		nPreds := r.n(uint64(hd.numBlocks), "pred count")
+		nPreds := r.n(uint64(hd.NumBlocks), "pred count")
 		for i := 0; i < nPreds && r.err == nil; i++ {
-			pi := r.n(uint64(hd.numBlocks)-1, "pred index")
+			pi := r.n(uint64(hd.NumBlocks)-1, "pred index")
 			if r.err == nil {
 				b.Preds = append(b.Preds, f.Blocks[pi])
 			}
@@ -538,23 +603,33 @@ func (r *reader) funcBody(hd funcHeader, mod *ir.Module) {
 			r.fail("func %q: instruction count exceeds limit", f.Name)
 			return
 		}
+		if r.err != nil || nIns > (len(r.b)-r.off)/minInstrBytes {
+			r.fail("func %q: %d instructions overrun the input", f.Name, nIns)
+			return
+		}
+		slab := make([]ir.Instr, nIns)
 		b.Instrs = make([]*ir.Instr, 0, nIns)
 		for i := 0; i < nIns && r.err == nil; i++ {
-			ins := r.instr(f, mod, hd, byID, &refs)
+			ins := &slab[i]
+			r.instr(ins, f, hd, byID, &refs)
 			if r.err == nil {
 				ins.Block = b
 				b.Instrs = append(b.Instrs, ins)
 			}
 		}
 	}
+	r.refs, r.seenBlk = refs, seenBlkID
 	if r.err != nil {
 		return
 	}
 
 	// Resolve operand references now that every instruction exists.
 	for _, ref := range refs {
-		def, ok := byID[ref.id]
-		if !ok {
+		var def *ir.Instr
+		if ref.id < len(byID) {
+			def = byID[ref.id]
+		}
+		if def == nil {
 			r.fail("func %q: operand %%%d is never defined", f.Name, ref.id)
 			return
 		}
@@ -562,13 +637,16 @@ func (r *reader) funcBody(hd funcHeader, mod *ir.Module) {
 	}
 
 	// Params resolve to OpParam instructions by value ID.
-	for i := 0; i < hd.numParams && r.err == nil; i++ {
+	for i := 0; i < hd.NumParams && r.err == nil; i++ {
 		id := r.n(maxValuesPer, "param ID")
 		if r.err != nil {
 			return
 		}
-		p, ok := byID[id]
-		if !ok || p.Op != ir.OpParam || p.Slot != i {
+		var p *ir.Instr
+		if id < len(byID) {
+			p = byID[id]
+		}
+		if p == nil || p.Op != ir.OpParam || p.Slot != i {
 			r.fail("func %q: param %d does not resolve to its OpParam", f.Name, i)
 			return
 		}
@@ -582,27 +660,25 @@ func (r *reader) funcBody(hd funcHeader, mod *ir.Module) {
 			b.Succs = append(b.Succs, t.Targets...)
 		}
 	}
-	f.SetIDBounds(hd.numValues, maxBlkID+1)
+	f.SetIDBounds(hd.NumValues, maxBlkID+1)
 }
 
-func (r *reader) instr(f *ir.Func, mod *ir.Module, hd funcHeader, byID map[int]*ir.Instr, refs *[]argRef) *ir.Instr {
-	ins := &ir.Instr{
-		Op:  ir.Op(r.u()),
-		Bin: ir.BinKind(r.u()),
-		Typ: types.Type{Elem: ast.BasicKind(r.u()), Dims: int(r.n(maxArrayDims, "type dims"))},
-	}
+func (r *reader) instr(ins *ir.Instr, f *ir.Func, hd FuncShape, byID []*ir.Instr, refs *[]argRef) {
+	ins.Op = ir.Op(r.u())
+	ins.Bin = ir.BinKind(r.u())
+	ins.Typ = types.Type{Elem: ast.BasicKind(r.u()), Dims: int(r.n(maxArrayDims, "type dims"))}
 	if r.err == nil && (ins.Op <= ir.OpInvalid || ins.Op > ir.OpRet ||
 		ins.Op == ir.OpLoadSlot || ins.Op == ir.OpStoreSlot) {
 		r.fail("func %q: bad opcode %d", f.Name, ins.Op)
-		return ins
+		return
 	}
 	if r.err == nil && (ins.Bin < ir.BinAdd || ins.Bin > ir.BinOr) {
 		r.fail("func %q: bad binary kind %d", f.Name, ins.Bin)
-		return ins
+		return
 	}
 	if r.err == nil && ins.Typ.Elem > ast.Void {
 		r.fail("func %q: bad element kind %d", f.Name, ins.Typ.Elem)
-		return ins
+		return
 	}
 	nArgs := r.n(maxArgsPer, "arg count")
 	ins.Args = make([]ir.Value, nArgs)
@@ -618,32 +694,34 @@ func (r *reader) instr(f *ir.Func, mod *ir.Module, hd funcHeader, byID map[int]*
 		}
 	}
 	ins.Slot = int(r.i())
-	if gi := r.n(uint64(len(mod.Globals)), "global index"); r.err == nil && gi > 0 {
-		ins.Global = mod.Globals[gi-1]
+	if gi := r.n(uint64(len(r.globals)), "global index"); r.err == nil && gi > 0 {
+		ins.Global = r.globals[gi-1]
 	}
-	if fi := r.n(uint64(len(mod.Funcs)), "callee index"); r.err == nil && fi > 0 {
-		ins.Callee = mod.Funcs[fi-1]
+	if fi := r.n(uint64(len(r.callees)), "callee index"); r.err == nil && fi > 0 {
+		ins.Callee = r.callees[fi-1]
 	}
 	ins.Builtin = r.str()
 	ins.Aux = r.str()
 	nTargets := r.n(2, "target count")
 	for i := 0; i < nTargets && r.err == nil; i++ {
-		ti := r.n(uint64(hd.numBlocks)-1, "target index")
+		ti := r.n(uint64(hd.NumBlocks)-1, "target index")
 		if r.err == nil {
 			ins.Targets = append(ins.Targets, f.Blocks[ti])
 		}
 	}
-	ins.Pos = int(r.i())
+	if ins.Pos = int(r.i()); ins.Pos != 0 {
+		ins.Pos += r.shift
+	}
 	ins.ID = r.n(maxValuesPer, "value ID")
-	if r.err == nil && ins.ID >= hd.numValues {
-		r.fail("func %q: value ID %d outside declared bound %d", f.Name, ins.ID, hd.numValues)
+	if r.err == nil && ins.ID >= hd.NumValues {
+		r.fail("func %q: value ID %d outside declared bound %d", f.Name, ins.ID, hd.NumValues)
 	}
 	if r.err != nil {
-		return ins
+		return
 	}
 	if byID[ins.ID] != nil {
 		r.fail("func %q: duplicate value ID %d", f.Name, ins.ID)
-		return ins
+		return
 	}
 	byID[ins.ID] = ins
 	flags := r.u()
@@ -653,7 +731,6 @@ func (r *reader) instr(f *ir.Func, mod *ir.Module, hd funcHeader, byID map[int]*
 	if r.err == nil && (ins.BreakArg < -1 || ins.BreakArg >= len(ins.Args)) {
 		r.fail("func %q: BreakArg %d out of range", f.Name, ins.BreakArg)
 	}
-	return ins
 }
 
 func scalarKind(k ast.BasicKind) bool {

@@ -35,8 +35,10 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
 // Func is the per-function verdict of the content analysis.
 type Func struct {
-	// Local is the hash of the function's own canonical IR (LocalSum).
+	// Local is the hash of the function's own canonical IR, and Pure
+	// whether that IR is free of globals and impure builtins (LocalSum).
 	Local [32]byte
+	Pure  bool
 	// Key is the transitive content key.
 	Key Key
 	// Sealed: no global reads or writes, no RNG or output builtins anywhere
@@ -78,6 +80,22 @@ func (c *Canon) B(v bool) {
 		c.Buf = append(c.Buf, 1)
 	} else {
 		c.Buf = append(c.Buf, 0)
+	}
+}
+
+// Global appends a global's declaration: name, element kind, extents
+// and initializer.
+func (c *Canon) Global(g *ir.Global) {
+	c.S(g.Name)
+	c.U(uint64(g.Elem))
+	c.U(uint64(len(g.Dims)))
+	for _, d := range g.Dims {
+		c.I(d)
+	}
+	if g.Init != nil {
+		c.value(g.Init)
+	} else {
+		c.U(5)
 	}
 }
 
@@ -138,17 +156,7 @@ func LocalSum(f *ir.Func) (sum [32]byte, pure bool) {
 			if g := ins.Global; g != nil {
 				pure = false
 				c.U(1)
-				c.S(g.Name)
-				c.U(uint64(g.Elem))
-				c.U(uint64(len(g.Dims)))
-				for _, d := range g.Dims {
-					c.I(d)
-				}
-				if g.Init != nil {
-					c.value(g.Init)
-				} else {
-					c.U(5)
-				}
+				c.Global(g)
 			} else {
 				c.U(0)
 			}
@@ -279,14 +287,20 @@ func (cg *CallGraph) Recursive(f *ir.Func) bool {
 // everything reachable from it; all members of an SCC share the SCC
 // signature, mixed with their own local sum so distinct members still get
 // distinct keys.
-func Analyze(mod *ir.Module) *Module {
+func Analyze(mod *ir.Module) *Module { return AnalyzeWith(mod, nil) }
+
+// AnalyzeWith is Analyze taking the local sum and purity bit of every
+// function in known from its entry (Local and Pure) instead of hashing
+// the function again.
+func AnalyzeWith(mod *ir.Module, known map[*ir.Func]Func) *Module {
 	n := len(mod.Funcs)
-	pure := make(map[*ir.Func]bool, n)
 	facts := make(map[*ir.Func]*Func, n)
 	for _, f := range mod.Funcs {
-		sum, p := LocalSum(f)
-		facts[f] = &Func{Local: sum}
-		pure[f] = p
+		ff, ok := known[f]
+		if !ok {
+			ff.Local, ff.Pure = LocalSum(f)
+		}
+		facts[f] = &Func{Local: ff.Local, Pure: ff.Pure}
 	}
 	cg := Calls(mod)
 
@@ -296,7 +310,7 @@ func Analyze(mod *ir.Module) *Module {
 		var memberSums [][32]byte
 		extKeys := make(map[Key]bool)
 		for _, f := range comp {
-			if !pure[f] {
+			if !facts[f].Pure {
 				ok = false
 			}
 			memberSums = append(memberSums, facts[f].Local)

@@ -69,7 +69,9 @@ type compactVal struct {
 
 // Compactor builds the compacted templates of one function's blocks. Its
 // scratch state is indexed by value ID, so each block compacts in one
-// linear pass over its instructions.
+// linear pass over its instructions. Reset readies it for another
+// function, keeping its scratch, so one Compactor can serve a whole
+// module.
 type Compactor struct {
 	vals []compactVal
 	ops  []TplOp // expressions of the current block's inlined temporaries
@@ -77,10 +79,22 @@ type Compactor struct {
 	tpl  BlockTemplate
 }
 
-// NewCompactor classifies every value of f: which ones are used outside
-// their block, and which have a use that folds them.
+// NewCompactor returns a Compactor Reset for f.
 func NewCompactor(f *ir.Func) *Compactor {
-	c := &Compactor{vals: make([]compactVal, f.NumValues())}
+	c := &Compactor{}
+	c.Reset(f)
+	return c
+}
+
+// Reset classifies every value of f: which ones are used outside their
+// block, and which have a use that folds them.
+func (c *Compactor) Reset(f *ir.Func) {
+	if n := f.NumValues(); cap(c.vals) < n {
+		c.vals = make([]compactVal, n)
+	} else {
+		c.vals = c.vals[:n]
+		clear(c.vals)
+	}
 	for bi, b := range f.Blocks {
 		for _, ins := range b.Instrs {
 			if ins.HasResult() {
@@ -105,7 +119,6 @@ func NewCompactor(f *ir.Func) *Compactor {
 			}
 		}
 	}
-	return c
 }
 
 // Template builds the compacted template of a fused block's body (its

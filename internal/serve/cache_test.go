@@ -301,9 +301,13 @@ func TestServeFrontCache(t *testing.T) {
 		t.Fatalf("base: status %d", st)
 	}
 	base := s.Stats()
-	if base.FrontMisses != 9 || base.FrontHits != 0 || base.FrontEntries != 9 {
-		t.Errorf("base: front cache hits/misses/entries = %d/%d/%d, want 0/9/9 (three lookups for each of three functions)",
+	if base.FrontMisses != 12 || base.FrontHits != 0 || base.FrontEntries != 12 {
+		t.Errorf("base: front cache hits/misses/entries = %d/%d/%d, want 0/12/12 (four lookups for each of three functions)",
 			base.FrontHits, base.FrontMisses, base.FrontEntries)
+	}
+	if base.FrontIRMisses != 3 || base.FrontAbsintMisses != 6 || base.FrontModRefMisses != 3 {
+		t.Errorf("base: IR/absint/modref misses = %d/%d/%d, want 3/6/3",
+			base.FrontIRMisses, base.FrontAbsintMisses, base.FrontModRefMisses)
 	}
 	if base.FrontBytes <= 0 {
 		t.Errorf("base: front cache bytes = %d, want the entries' estimated size", base.FrontBytes)
@@ -313,8 +317,23 @@ func TestServeFrontCache(t *testing.T) {
 		t.Fatalf("edit: status %d", st)
 	}
 	stats := s.Stats()
-	if m, h := stats.FrontMisses-base.FrontMisses, stats.FrontHits-base.FrontHits; m != 3 || h != 6 {
-		t.Errorf("edit: front cache misses/hits = %d/%d, want 3/6 (only mix misses)", m, h)
+	if m, h := stats.FrontMisses-base.FrontMisses, stats.FrontHits-base.FrontHits; m != 4 || h != 8 {
+		t.Errorf("edit: front cache misses/hits = %d/%d, want 4/8 (only mix misses)", m, h)
+	}
+	// mix alone is lowered again; main, after it, reuses its IR at a new
+	// offset.
+	for _, k := range []struct {
+		kind         string
+		miss, hit    uint64
+		wantM, wantH uint64
+	}{
+		{"ir", stats.FrontIRMisses - base.FrontIRMisses, stats.FrontIRHits - base.FrontIRHits, 1, 2},
+		{"absint", stats.FrontAbsintMisses - base.FrontAbsintMisses, stats.FrontAbsintHits - base.FrontAbsintHits, 2, 4},
+		{"modref", stats.FrontModRefMisses - base.FrontModRefMisses, stats.FrontModRefHits - base.FrontModRefHits, 1, 2},
+	} {
+		if k.miss != k.wantM || k.hit != k.wantH {
+			t.Errorf("edit: %s misses/hits = %d/%d, want %d/%d", k.kind, k.miss, k.hit, k.wantM, k.wantH)
+		}
 	}
 	if _, want := rawPost(t, cold.Client(), cold.URL+"/v1/jobs?name=s.kr", edit, nil); !bytes.Equal(warm, want) {
 		t.Errorf("edit through the front cache streams differently:\n--- uncached ---\n%s\n--- front cache ---\n%s", want, warm)
@@ -336,6 +355,9 @@ func TestServeFrontCache(t *testing.T) {
 	if m := after.FrontMisses - before.FrontMisses; m != 0 {
 		t.Errorf("bundle of an already compiled program missed the front cache %d times, want 0", m)
 	}
+	if n := after.FrontIRHits + after.FrontIRMisses - before.FrontIRHits - before.FrontIRMisses; n != 0 {
+		t.Errorf("bundle looked up %d lowered functions, want 0 (a bundle arrives lowered)", n)
+	}
 
 	resp, err := ts.Client().Get(ts.URL + "/statz")
 	if err != nil {
@@ -346,7 +368,9 @@ func TestServeFrontCache(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&wire); err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{"front_cache_hits", "front_cache_misses", "front_cache_entries", "front_cache_bytes"} {
+	for _, field := range []string{"front_cache_hits", "front_cache_misses", "front_cache_entries", "front_cache_bytes",
+		"front_cache_ir_hits", "front_cache_ir_misses", "front_cache_absint_hits", "front_cache_absint_misses",
+		"front_cache_modref_hits", "front_cache_modref_misses"} {
 		if _, ok := wire[field]; !ok {
 			t.Errorf("/statz missing field %q", field)
 		}

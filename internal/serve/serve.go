@@ -95,11 +95,12 @@ type Config struct {
 	// (0 = unbounded). 0 entries disables the cache.
 	//
 	// A compile cache also turns on the per-function front cache: a
-	// compile that misses reuses the abstract interpretation and mod/ref
-	// summary of every function whose analysis inputs are unchanged since
-	// an earlier compile of the same tenant (at most frontcache.MaxEntries
-	// entries and frontcache.MaxBytes estimated bytes, shared by all
-	// tenants).
+	// compile that misses reuses the lowered IR of every function whose
+	// source text and visible declarations are unchanged, and the abstract
+	// interpretation and mod/ref summary of every function whose analysis
+	// inputs are unchanged, since an earlier compile of the same tenant
+	// (at most frontcache.MaxEntries entries and frontcache.MaxBytes
+	// estimated bytes, shared by all tenants).
 	CompileCache      int
 	CompileCacheBytes int64
 	// IncCache, when non-nil, is a shared incremental re-profiling store:
@@ -182,11 +183,18 @@ type Stats struct {
 	CompileBytes   int64  `json:"compile_cache_bytes"`   // estimated bytes held
 
 	// Front cache (on with the compile cache), counted per function lookup:
-	// absint first pass, absint final pass, mod/ref summary.
-	FrontHits    uint64 `json:"front_cache_hits"`
-	FrontMisses  uint64 `json:"front_cache_misses"`
-	FrontEntries int    `json:"front_cache_entries"`
-	FrontBytes   int64  `json:"front_cache_bytes"` // estimated bytes held
+	// lowered IR, absint first pass, absint final pass, mod/ref summary.
+	// The totals sum the three kinds; IR misses count functions lowered.
+	FrontHits         uint64 `json:"front_cache_hits"`
+	FrontMisses       uint64 `json:"front_cache_misses"`
+	FrontIRHits       uint64 `json:"front_cache_ir_hits"`
+	FrontIRMisses     uint64 `json:"front_cache_ir_misses"`
+	FrontAbsintHits   uint64 `json:"front_cache_absint_hits"` // both passes
+	FrontAbsintMisses uint64 `json:"front_cache_absint_misses"`
+	FrontModRefHits   uint64 `json:"front_cache_modref_hits"`
+	FrontModRefMisses uint64 `json:"front_cache_modref_misses"`
+	FrontEntries      int    `json:"front_cache_entries"`
+	FrontBytes        int64  `json:"front_cache_bytes"` // estimated bytes held
 
 	// Shared incremental re-profiling store (Config.IncCache), summed over
 	// every job serviced so far.
@@ -293,6 +301,10 @@ func (s *Server) Stats() Stats {
 		fs := s.front.Stats()
 		st.FrontHits = fs.Hits
 		st.FrontMisses = fs.Misses
+		ir, ai, mr := fs.Kinds[frontcache.KindIR], fs.Kinds[frontcache.KindAbsint], fs.Kinds[frontcache.KindModRef]
+		st.FrontIRHits, st.FrontIRMisses = ir.Hits, ir.Misses
+		st.FrontAbsintHits, st.FrontAbsintMisses = ai.Hits, ai.Misses
+		st.FrontModRefHits, st.FrontModRefMisses = mr.Hits, mr.Misses
 		st.FrontEntries = fs.Entries
 		st.FrontBytes = fs.Bytes
 	}

@@ -154,8 +154,11 @@ type CompileOptions struct {
 	// FrontCache, when non-nil, serves each function's abstract
 	// interpretation and mod/ref summary from one scope of a front cache
 	// when the function's analysis inputs are unchanged (see
-	// internal/frontcache), and stores the fresh ones. The program is
-	// identical to an uncached compile's.
+	// internal/frontcache), and stores the fresh ones. Unless Optimize is
+	// set or dependence breaking is off, it also serves each function's
+	// lowered, annotated IR when the function's source text and the
+	// declarations it can see are unchanged. The program is identical to
+	// an uncached compile's.
 	FrontCache *frontcache.Scope
 }
 
@@ -182,7 +185,15 @@ func CompileWith(name, src string, o CompileOptions) (*Program, error) {
 	if err := errs.Err(); err != nil {
 		return nil, &CompileError{Stage: StageAnalysis, Errs: errs}
 	}
-	mod := irbuild.Build(tree, info, file, errs)
+	// Lowered bodies come from the front cache only on the path whose
+	// bodies it stores: optimizer off, dependence breaking on.
+	var low *frontcache.Lowering
+	var lc irbuild.Cache
+	if o.FrontCache != nil && !o.Optimize && !o.DisableDependenceBreaking {
+		low = o.FrontCache.Lowering(file, info)
+		lc = low
+	}
+	mod := irbuild.BuildWith(tree, info, file, errs, lc)
 	if err := errs.Err(); err != nil {
 		return nil, &CompileError{Stage: StageAnalysis, Errs: errs}
 	}
@@ -191,9 +202,12 @@ func CompileWith(name, src string, o CompileOptions) (*Program, error) {
 		ostats = opt.Run(mod)
 	}
 	var stats analysis.Stats
-	if o.DisableDependenceBreaking {
+	switch {
+	case o.DisableDependenceBreaking:
 		analysis.Init(mod)
-	} else {
+	case low != nil:
+		stats = low.Annotate(mod)
+	default:
 		stats = analysis.Run(mod)
 	}
 	p := &Program{
@@ -204,6 +218,9 @@ func CompileWith(name, src string, o CompileOptions) (*Program, error) {
 		Analysis:  stats,
 		Opt:       ostats,
 		absintOff: o.DisableAbsint,
+	}
+	if low != nil {
+		p.hashOnce.Do(func() { p.hashes = low.Hash(mod) })
 	}
 	p.analyze(o.FrontCache)
 	return p, nil
