@@ -315,17 +315,6 @@ func ablation() error {
 		fmt.Printf("%-8s %12d %9.1fx %12d %12d\n", r.Name, r.LoopsCollapsed, r.MaxSPDrop, r.PlanWith, r.PlanWithout)
 	}
 
-	header("Ablation: post-instrumentation optimization (§3)")
-	orows, err := eval.OptimizationAblation()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-8s %12s %12s %10s %8s %8s %10s\n", "bench", "work", "opt work", "reduction", "folded", "dce", "plan kept")
-	for _, r := range orows {
-		fmt.Printf("%-8s %12d %12d %9.2fx %8d %8d %10t\n",
-			r.Name, r.PlainWork, r.OptWork, r.WorkReduction, r.Folded, r.RemovedDead, r.PlanAgrees)
-	}
-
 	header("Ablation: planning on compressed vs expanded traces (§4.4)")
 	crows, err := eval.CompressedPlanningAblation()
 	if err != nil {

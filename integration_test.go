@@ -12,6 +12,9 @@ import (
 	"testing"
 
 	"kremlin"
+	"kremlin/internal/bench"
+	"kremlin/internal/frontcache"
+	"kremlin/internal/krfuzz"
 	"kremlin/internal/planner"
 	"kremlin/internal/profile"
 )
@@ -107,28 +110,59 @@ func TestMergedProfilePlans(t *testing.T) {
 	}
 }
 
-// TestCompileOptionsMatrix: every option combination compiles and runs with
-// identical output.
+// TestCompileOptionsMatrix: every combination of the compile options
+// compiles and runs with the same output, and a compile through a front
+// cache scope the other combinations have warmed decides exactly what a
+// cold compile does. A compile with dependence breaking off bypasses the
+// stored IR but still reads the stored absint and mod/ref summaries.
 func TestCompileOptionsMatrix(t *testing.T) {
-	var want string
-	for _, o := range []kremlin.CompileOptions{
+	opts := []kremlin.CompileOptions{
 		{},
-		{Optimize: true},
+		{DisableAbsint: true},
 		{DisableDependenceBreaking: true},
-		{Optimize: true, DisableDependenceBreaking: true},
-	} {
-		prog, err := kremlin.CompileWith("tool.kr", toolSrc, o)
-		if err != nil {
-			t.Fatalf("%+v: %v", o, err)
-		}
-		var buf bytes.Buffer
-		if _, err := prog.Run(&kremlin.RunConfig{Out: &buf}); err != nil {
-			t.Fatalf("%+v: %v", o, err)
-		}
-		if want == "" {
-			want = buf.String()
-		} else if buf.String() != want {
-			t.Errorf("%+v: output %q differs from %q", o, buf.String(), want)
+		{DisableDependenceBreaking: true, DisableAbsint: true},
+	}
+	srcs := map[string]string{"tool": toolSrc}
+	for _, b := range bench.All() {
+		srcs[b.Name] = b.Source
+	}
+	for name, src := range srcs {
+		var want string
+		for i, o := range opts {
+			scope := frontcache.New(frontcache.MaxEntries, frontcache.MaxBytes).Scope("")
+			for j, w := range opts {
+				if j != i {
+					w.FrontCache = scope
+					if _, err := kremlin.CompileWith(name+".kr", src, w); err != nil {
+						t.Fatalf("%s %+v: %v", name, w, err)
+					}
+				}
+			}
+			cold, err := kremlin.CompileWith(name+".kr", src, o)
+			if err != nil {
+				t.Fatalf("%s %+v: %v", name, o, err)
+			}
+			wo := o
+			wo.FrontCache = scope
+			warm, err := kremlin.CompileWith(name+".kr", src, wo)
+			if err != nil {
+				t.Fatalf("%s %+v: %v", name, o, err)
+			}
+			if w, c := krfuzz.FrontView(warm), krfuzz.FrontView(cold); w != c {
+				t.Fatalf("%s %+v: warm front view diverged from a cold compile\n--- cold ---\n%s--- warm ---\n%s", name, o, c, w)
+			}
+			if w, c := factsView(warm), factsView(cold); w != c {
+				t.Fatalf("%s %+v: warm absint facts diverged from a cold compile\n--- cold ---\n%s--- warm ---\n%s", name, o, c, w)
+			}
+			var buf bytes.Buffer
+			if _, err := warm.Run(&kremlin.RunConfig{Out: &buf}); err != nil {
+				t.Fatalf("%s %+v: %v", name, o, err)
+			}
+			if i == 0 {
+				want = buf.String()
+			} else if buf.String() != want {
+				t.Errorf("%s %+v: output %q differs from %q", name, o, buf.String(), want)
+			}
 		}
 	}
 }

@@ -13,9 +13,9 @@ import (
 )
 
 // Ablations for the design choices DESIGN.md calls out: the
-// induction/reduction dependence breaking of §2.4/§4.1, the
-// post-instrumentation optimization of §3, the planner personalities of
-// §5, and the operate-on-compressed-data planning of §4.4.
+// induction/reduction dependence breaking of §2.4/§4.1, the planner
+// personalities of §5, and the operate-on-compressed-data planning of
+// §4.4.
 
 // BreakingRow compares a benchmark's reduction-bearing loops with and
 // without the dependence-breaking analysis.
@@ -75,85 +75,6 @@ func DependenceBreakingAblation() ([]BreakingRow, error) {
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// OptRow reports the effect of the post-instrumentation optimizer.
-type OptRow struct {
-	Name          string
-	PlainWork     uint64
-	OptWork       uint64
-	WorkReduction float64 // plain/opt
-	Folded        int
-	RemovedDead   int
-	// PlanAgrees reports whether the optimized profile yields the same core
-	// plan: identical top recommendation and no region the base plan did
-	// not contain. (Shrinking work can drop tail regions that sat exactly
-	// on the 0.1%-speedup threshold; that is the threshold working, not an
-	// analysis change.)
-	PlanAgrees bool
-}
-
-// OptimizationAblation recompiles each benchmark with the optimizer on and
-// verifies the plan is stable while the instrumented work shrinks.
-func OptimizationAblation() ([]OptRow, error) {
-	var rows []OptRow
-	for _, b := range bench.All() {
-		c, err := bench.Load(b)
-		if err != nil {
-			return nil, err
-		}
-		op, err := kremlin.CompileWith(b.Name+".kr", b.Source, kremlin.CompileOptions{Optimize: true})
-		if err != nil {
-			return nil, err
-		}
-		oprof, _, err := op.Profile(nil)
-		if err != nil {
-			return nil, err
-		}
-		row := OptRow{
-			Name:        b.Name,
-			PlainWork:   c.Profile.TotalWork(),
-			OptWork:     oprof.TotalWork(),
-			Folded:      op.Opt.Folded,
-			RemovedDead: op.Opt.RemovedDead,
-		}
-		if row.OptWork > 0 {
-			row.WorkReduction = float64(row.PlainWork) / float64(row.OptWork)
-		}
-		basePlan := planner.Make(c.Summary, planner.OpenMP())
-		optPlan := planner.Make(op.Summarize(oprof), planner.OpenMP())
-		row.PlanAgrees = sameLabels(basePlan, optPlan)
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-func sameLabels(base, opt *planner.Plan) bool {
-	if len(base.Recs) == 0 || len(opt.Recs) == 0 {
-		return len(base.Recs) == len(opt.Recs)
-	}
-	// The leader must stay among the base plan's top recommendations
-	// (symmetric regions — e.g. bt's x/y/z solver sweeps — can swap ranks
-	// when CSE shifts their nearly-identical work totals).
-	topOK := false
-	for i := 0; i < len(base.Recs) && i < 3; i++ {
-		if base.Recs[i].Label() == opt.Recs[0].Label() {
-			topOK = true
-		}
-	}
-	if !topOK {
-		return false
-	}
-	set := map[string]bool{}
-	for _, r := range base.Recs {
-		set[r.Label()] = true
-	}
-	for _, r := range opt.Recs {
-		if !set[r.Label()] {
-			return false
-		}
-	}
-	return true
 }
 
 // CompressedPlanningRow compares aggregating HCPA metrics directly on the

@@ -26,25 +26,6 @@ func TestDependenceBreakingAblationShape(t *testing.T) {
 	}
 }
 
-func TestOptimizationAblationShape(t *testing.T) {
-	rows, err := OptimizationAblation()
-	if err != nil {
-		t.Fatal(err)
-	}
-	agrees := 0
-	for _, r := range rows {
-		if r.WorkReduction < 1.0 {
-			t.Errorf("%s: optimizer increased work (%.3fx)", r.Name, r.WorkReduction)
-		}
-		if r.PlanAgrees {
-			agrees++
-		}
-	}
-	if agrees != len(rows) {
-		t.Errorf("optimizer changed the core plan on %d of %d benchmarks", len(rows)-agrees, len(rows))
-	}
-}
-
 func TestCompressedPlanningAblationShape(t *testing.T) {
 	rows, err := CompressedPlanningAblation()
 	if err != nil {

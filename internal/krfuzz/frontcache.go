@@ -56,11 +56,11 @@ func FrontView(p *kremlin.Program) string {
 
 // checkFrontCache compiles base and then an edit through one front cache
 // and requires the edit's front view to equal a cold compile's. It checks
-// the given edit and three derived from base: a comment lengthening the
+// the given edit and four derived from base: a comment lengthening the
 // first function, whose stored body alone is lowered again while every
-// later function's moves to its new offset, and two that change what every
-// function can see, a callee's signature and a new first global, after
-// which every function is lowered again.
+// later function's moves to its new offset, and three that change what
+// every function can see, a callee's parameter count, a parameter's type
+// and a new first global, after which every function is lowered again.
 func checkFrontCache(name, baseSrc, editSrc string, fail func(string, string, ...interface{}) error) error {
 	if err := checkFrontEdit(name, baseSrc, editSrc, "", -1, fail); err != nil {
 		return err
@@ -93,6 +93,11 @@ func checkFrontCache(name, baseSrc, editSrc string, fail func(string, string, ..
 		}
 		tree = parser.Parse(file, errs)
 	}
+	if retyped := retypeParam(name, tree); retyped != "" {
+		if err := checkFrontEdit(name, baseSrc, retyped, "param-type", all, fail); err != nil {
+			return err
+		}
+	}
 	tree.Globals = append([]*ast.VarDecl{{Name: "krfuzzPad", Elem: ast.Int}}, tree.Globals...)
 	return checkFrontEdit(name, baseSrc, ast.Print(tree), "global", all, fail)
 }
@@ -121,6 +126,31 @@ func signatureTarget(tree *ast.File) *ast.FuncDecl {
 		}
 	}
 	return first
+}
+
+// retypeParam renders tree with one scalar int parameter of a helper
+// retyped to float, the first such retyping that still compiles. Every
+// call site keeps its text, since an int argument widens to float, so
+// only the declarations the callers see tell them apart. It returns ""
+// when no retyping compiles, and leaves tree as it found it.
+func retypeParam(name string, tree *ast.File) string {
+	for _, fd := range tree.Funcs {
+		if fd.Name == "main" {
+			continue
+		}
+		for _, p := range fd.Params {
+			if p.Elem != ast.Int || p.NumDims != 0 {
+				continue
+			}
+			p.Elem = ast.Float
+			src := ast.Print(tree)
+			p.Elem = ast.Int
+			if _, err := kremlin.Compile(name, src); err == nil {
+				return src
+			}
+		}
+	}
+	return ""
 }
 
 // checkFrontEdit compiles base and then edit through a fresh front cache,

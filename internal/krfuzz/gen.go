@@ -2,8 +2,8 @@
 // type-directed random generator of Kr programs built directly at the AST
 // level, plus a differential and metamorphic oracle that cross-checks
 // every pipeline configuration (uninstrumented vs instrumented
-// interpretation, bytecode VM vs tree interpreter, optimizer on vs off)
-// and verifies the HCPA profile invariants on every region, and a
+// interpretation, bytecode VM vs tree interpreter, dependence breaking on
+// vs off) and verifies the HCPA profile invariants on every region, and a
 // shrinker that reduces a failing program to a minimal reproducer.
 //
 // Generated programs are safe by construction — every one compiles, runs

@@ -54,7 +54,6 @@ func (c OracleConfig) maxSteps() uint64 {
 //	plain interpretation  — ground truth for output and work
 //	gprof mode            — instrumented control flow, work-only counters
 //	HCPA mode             — full shadow-memory profiling
-//	optimizer on          — semantics preserved, work never increased
 //	dependence breaking off — profile changes, observable behavior must not
 func Check(name, src string, cfg OracleConfig) error {
 	fail := func(check, format string, args ...interface{}) error {
@@ -238,30 +237,6 @@ func Check(name, src string, cfg OracleConfig) error {
 	}
 	if !bytes.Equal(profileBytes(rt), b1) {
 		return fail("serialize-roundtrip", "profile changed across WriteTo/ReadFrom")
-	}
-
-	// Metamorphic: the optimizer must preserve observable behavior and
-	// never add work, and its profile must satisfy the same invariants.
-	oprog, err := kremlin.CompileWith(name, src, kremlin.CompileOptions{Optimize: true})
-	if err != nil {
-		return fail("opt-compile", "%v", err)
-	}
-	var optOut strings.Builder
-	oprof, ores, err := oprog.Profile(run(&optOut))
-	if err != nil {
-		return fail("opt-run", "%v", err)
-	}
-	if optOut.String() != plainOut.String() {
-		return fail("opt-output", "optimized output differs from plain:\n--- plain ---\n%s--- opt ---\n%s", plainOut.String(), optOut.String())
-	}
-	if ores.Work > plain.Work {
-		return fail("opt-work", "optimizer increased work: %d > %d", ores.Work, plain.Work)
-	}
-	if tw := oprof.TotalWork(); tw != ores.Work {
-		return fail("opt-profile-work", "optimized profile TotalWork %d, executed %d", tw, ores.Work)
-	}
-	if err := checkProfileInvariants(src, oprog, oprof); err != nil {
-		return err
 	}
 
 	// Metamorphic: disabling induction/reduction dependence breaking

@@ -1,8 +1,8 @@
 // Package krgen generates random, well-typed, deterministic, terminating
 // Kr programs for differential testing: every generated program must
-// compile, run identically under plain / gprof / HCPA / optimized
-// execution, and satisfy the profiler's invariants. The generator is the
-// repository's fuzzing harness for the whole pipeline.
+// compile, run identically under plain / gprof / HCPA execution, and
+// satisfy the profiler's invariants. The generator is the repository's
+// fuzzing harness for the whole pipeline.
 //
 // Generated programs are safe by construction:
 //   - all loops are bounded counted loops whose induction variable is

@@ -21,10 +21,10 @@ func generate(t *testing.T, seed int64) string {
 	return krgen.Generate(seed, krgen.Default())
 }
 
-func compileSeed(t *testing.T, seed int64, o kremlin.CompileOptions) *kremlin.Program {
+func compileSeed(t *testing.T, seed int64) *kremlin.Program {
 	t.Helper()
 	src := generate(t, seed)
-	prog, err := kremlin.CompileWith("gen.kr", src, o)
+	prog, err := kremlin.Compile("gen.kr", src)
 	if err != nil {
 		t.Fatalf("seed %d: %v\nsource:\n%s", seed, err, src)
 	}
@@ -45,7 +45,7 @@ func runOut(t *testing.T, seed int64, prog *kremlin.Program) (string, uint64) {
 // terminating program that prints its digest.
 func TestGeneratedProgramsCompileAndRun(t *testing.T) {
 	for seed := int64(0); seed < seeds; seed++ {
-		prog := compileSeed(t, seed, kremlin.CompileOptions{})
+		prog := compileSeed(t, seed)
 		out, work := runOut(t, seed, prog)
 		if !strings.HasPrefix(out, "digest ") {
 			t.Fatalf("seed %d: output %q", seed, out)
@@ -60,7 +60,7 @@ func TestGeneratedProgramsCompileAndRun(t *testing.T) {
 // print identical output and count identical work.
 func TestInstrumentationPreservesSemantics(t *testing.T) {
 	for seed := int64(0); seed < seeds; seed++ {
-		prog := compileSeed(t, seed, kremlin.CompileOptions{})
+		prog := compileSeed(t, seed)
 		plainOut, plainWork := runOut(t, seed, prog)
 
 		var gpBuf bytes.Buffer
@@ -88,29 +88,11 @@ func TestInstrumentationPreservesSemantics(t *testing.T) {
 	}
 }
 
-// TestOptimizerPreservesSemantics: the optimizer never changes output and
-// never increases work.
-func TestOptimizerPreservesSemantics(t *testing.T) {
-	for seed := int64(0); seed < seeds; seed++ {
-		plain := compileSeed(t, seed, kremlin.CompileOptions{})
-		optd := compileSeed(t, seed, kremlin.CompileOptions{Optimize: true})
-		po, pw := runOut(t, seed, plain)
-		oo, ow := runOut(t, seed, optd)
-		if po != oo {
-			t.Fatalf("seed %d: optimizer changed output %q -> %q\nsource:\n%s",
-				seed, po, oo, generate(t, seed))
-		}
-		if ow > pw {
-			t.Fatalf("seed %d: optimizer increased work %d -> %d", seed, pw, ow)
-		}
-	}
-}
-
 // TestProfileInvariantsOnGeneratedPrograms: SP/TP bounds, child ordering,
 // and serialization round-trips hold for arbitrary region structures.
 func TestProfileInvariantsOnGeneratedPrograms(t *testing.T) {
 	for seed := int64(0); seed < seeds; seed += 3 {
-		prog := compileSeed(t, seed, kremlin.CompileOptions{})
+		prog := compileSeed(t, seed)
 		prof, _, err := prog.Profile(&kremlin.RunConfig{MaxSteps: 50_000_000})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -144,7 +126,7 @@ func TestDeterministicGeneration(t *testing.T) {
 			t.Fatalf("seed %d: generator nondeterministic", seed)
 		}
 	}
-	prog := compileSeed(t, 7, kremlin.CompileOptions{})
+	prog := compileSeed(t, 7)
 	p1, _, err := prog.Profile(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +159,7 @@ func TestStressConfig(t *testing.T) {
 	cfg := krgen.Config{Funcs: 6, Globals: 9, MaxStmts: 7, MaxDepth: 4, MaxExpr: 4, LoopIters: 8}
 	for seed := int64(1000); seed < 1020; seed++ {
 		src := krgen.Generate(seed, cfg)
-		prog, err := kremlin.CompileWith("stress.kr", src, kremlin.CompileOptions{})
+		prog, err := kremlin.Compile("stress.kr", src)
 		if err != nil {
 			t.Fatalf("seed %d: %v\nsource:\n%s", seed, err, src)
 		}
@@ -193,17 +175,6 @@ func TestStressConfig(t *testing.T) {
 		}
 		if plain.String() != instr.String() || pres.Work != hres.Work || prof.TotalWork() != pres.Work {
 			t.Fatalf("seed %d: instrumentation diverged", seed)
-		}
-		optd, err := kremlin.CompileWith("stress.kr", src, kremlin.CompileOptions{Optimize: true})
-		if err != nil {
-			t.Fatalf("seed %d: opt compile: %v", seed, err)
-		}
-		var oout bytes.Buffer
-		if _, err := optd.Run(&kremlin.RunConfig{Out: &oout, MaxSteps: 100_000_000}); err != nil {
-			t.Fatalf("seed %d: opt run: %v", seed, err)
-		}
-		if oout.String() != plain.String() {
-			t.Fatalf("seed %d: optimizer diverged:\n%q\n%q", seed, oout.String(), plain.String())
 		}
 	}
 }

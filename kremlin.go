@@ -41,7 +41,6 @@ import (
 	"kremlin/internal/irbuild"
 	"kremlin/internal/irhash"
 	"kremlin/internal/kremlib"
-	"kremlin/internal/opt"
 	"kremlin/internal/parser"
 	"kremlin/internal/planner"
 	"kremlin/internal/profile"
@@ -72,8 +71,6 @@ type Program struct {
 	// Analysis reports how many induction/reduction dependencies the static
 	// analysis broke.
 	Analysis analysis.Stats
-	// Opt reports what the optimizer did (zero unless Optimize was set).
-	Opt opt.Stats
 
 	absintOff bool
 	hashOnce  sync.Once
@@ -137,10 +134,6 @@ func (p *Program) code() *bytecode.Program {
 
 // CompileOptions tunes the compilation pipeline.
 type CompileOptions struct {
-	// Optimize runs the SSA optimizer (constant folding, dead-value
-	// elimination, branch folding) before region analysis, mirroring the
-	// paper's post-instrumentation optimization of the instrumented binary.
-	Optimize bool
 	// DisableDependenceBreaking skips induction/reduction detection — the
 	// §2.4 ablation showing how easy-to-break dependencies masquerade as
 	// seriality under plain CPA.
@@ -154,11 +147,10 @@ type CompileOptions struct {
 	// FrontCache, when non-nil, serves each function's abstract
 	// interpretation and mod/ref summary from one scope of a front cache
 	// when the function's analysis inputs are unchanged (see
-	// internal/frontcache), and stores the fresh ones. Unless Optimize is
-	// set or dependence breaking is off, it also serves each function's
-	// lowered, annotated IR when the function's source text and the
-	// declarations it can see are unchanged. The program is identical to
-	// an uncached compile's.
+	// internal/frontcache), and stores the fresh ones. Unless dependence
+	// breaking is off, it also serves each function's lowered, annotated
+	// IR when the function's source text and the declarations it can see
+	// are unchanged. The program is identical to an uncached compile's.
 	FrontCache *frontcache.Scope
 }
 
@@ -186,20 +178,16 @@ func CompileWith(name, src string, o CompileOptions) (*Program, error) {
 		return nil, &CompileError{Stage: StageAnalysis, Errs: errs}
 	}
 	// Lowered bodies come from the front cache only on the path whose
-	// bodies it stores: optimizer off, dependence breaking on.
+	// bodies it stores: dependence breaking on.
 	var low *frontcache.Lowering
 	var lc irbuild.Cache
-	if o.FrontCache != nil && !o.Optimize && !o.DisableDependenceBreaking {
+	if o.FrontCache != nil && !o.DisableDependenceBreaking {
 		low = o.FrontCache.Lowering(file, info)
 		lc = low
 	}
 	mod := irbuild.BuildWith(tree, info, file, errs, lc)
 	if err := errs.Err(); err != nil {
 		return nil, &CompileError{Stage: StageAnalysis, Errs: errs}
-	}
-	var ostats opt.Stats
-	if o.Optimize {
-		ostats = opt.Run(mod)
 	}
 	var stats analysis.Stats
 	switch {
@@ -216,7 +204,6 @@ func CompileWith(name, src string, o CompileOptions) (*Program, error) {
 		Info:      info,
 		Module:    mod,
 		Analysis:  stats,
-		Opt:       ostats,
 		absintOff: o.DisableAbsint,
 	}
 	if low != nil {
